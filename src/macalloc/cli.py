@@ -179,8 +179,8 @@ def cmd_check(args) -> int:
     if len(rates) != m:
         print(f"expected {m} --rate values, got {len(rates)}", file=sys.stderr)
         return EXIT_INVALID
-    if any(r < 0 for r in rates):
-        print("rates must be nonnegative", file=sys.stderr)
+    if not all(0.0 <= r < math.inf for r in rates):
+        print("rates must be finite and nonnegative", file=sys.stderr)
         return EXIT_INVALID
     report = rate_split_analyze(problem.config, np.asarray(rates))
     if isinstance(report, Violated):

@@ -18,7 +18,9 @@ from .channel import (
     BRUTE_FORCE_MAX_USERS,
     ChannelConfig,
     awgn_capacity,
+    constraint_slacks,
     constraint_table,
+    rate_vector,
 )
 from .projection import ViolationFinder, approximate_projection, rate_split_finder
 from .utility import Utility
@@ -171,12 +173,12 @@ def greedy_vertex(config: ChannelConfig, order) -> np.ndarray:
 
 
 def count_violations(config: ChannelConfig, point, tol: float = 1e-9) -> int:
-    """Number of sum-rate constraints the point violates (enumeration, small M)."""
-    if config.num_users > BRUTE_FORCE_MAX_USERS:
-        raise ValueError(f"enumeration capped at {BRUTE_FORCE_MAX_USERS} users")
-    r = np.asarray(point, dtype=float)
-    membership, capacities = constraint_table(config)
-    return int((capacities - membership @ r < -tol).sum())
+    """Number of sum-rate constraints the point violates (enumeration, small M).
+
+    Raises ValueError on NaN or infinite coordinates.
+    """
+    r = rate_vector(config, point)
+    return int(np.count_nonzero(constraint_slacks(constraint_table(config), r) < -tol))
 
 
 def solve(

@@ -10,6 +10,7 @@ in which violations are found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,8 +60,13 @@ def project_onto_hyperplane(point, members, level: float) -> np.ndarray:
     return y
 
 
-def _capped_projection(point: np.ndarray, idx: np.ndarray, level: float) -> tuple[np.ndarray, bool]:
+def _capped_projection(
+    point: np.ndarray, idx: np.ndarray, vals: np.ndarray, level: float
+) -> tuple[np.ndarray, bool]:
     """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}.
+
+    ``vals`` holds the point's coordinates on S (index array ``idx``) and must
+    sum to more than ``level``.
 
     Uniform shift with a zero floor: x_i = max(y_i - theta, 0) on S with the
     smallest theta >= 0 that brings the sum down to level. When no coordinate
@@ -69,9 +75,6 @@ def _capped_projection(point: np.ndarray, idx: np.ndarray, level: float) -> tupl
     guarantees a constraint never re-violates once projected, so each subset
     is used at most once.
     """
-    vals = point[idx]
-    if vals.sum() - level <= 0.0:
-        return point, False
     desc = np.sort(vals)[::-1]
     csum = np.cumsum(desc)
     counts = np.arange(1, len(desc) + 1)
@@ -89,23 +92,35 @@ def approximate_projection(
     """Clamp negatives, then project onto violated constraints until none remain.
 
     Every step only decreases coordinates, so a constraint stays satisfied
-    once handled and the loop terminates with each subset used at most once.
+    once handled and each subset is used at most once. A finder that names a
+    subset twice, or one the current point satisfies, would loop forever, so
+    either raises RuntimeError; the loop thus ends within 2**M - 1 steps.
+    Raises ValueError on NaN or infinite coordinates.
     """
     y = np.array(point, dtype=float)
     if y.shape != (config.num_users,):
         raise ValueError(f"expected {config.num_users} coordinates, got shape {y.shape}")
-    clamped = bool((y < 0.0).any())
+    low = y.min()  # NaN if any coordinate is NaN, and NaN > -inf is False
+    if not (low > -math.inf and y.max() < math.inf):
+        raise ValueError("coordinates must be finite")
+    clamped = bool(low < 0.0)
     np.maximum(y, 0.0, out=y)
 
-    used: list[frozenset[int]] = []
+    used: dict[frozenset[int], None] = {}  # insertion-ordered, O(1) membership
     while True:
         subset = finder(config, y)
         if subset is None:
             break
+        if subset in used:
+            raise RuntimeError(f"finder named subset {sorted(subset)} twice")
         idx = np.fromiter((i - 1 for i in sorted(subset)), dtype=int)
-        y, floored = _capped_projection(y, idx, subset_capacity(config, subset))
+        vals = y[idx]
+        level = subset_capacity(config, subset)
+        if vals.sum() <= level:
+            raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
+        y, floored = _capped_projection(y, idx, vals, level)
         clamped = clamped or floored
-        used.append(subset)
+        used[subset] = None
     return ProjectionResult(y, tuple(used), clamped)
 
 

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, constraint_slack, constraint_table, subset_members
+from .channel import (
+    ChannelConfig,
+    constraint_slack,
+    constraint_slacks,
+    constraint_table,
+    rate_vector,
+    subset_members,
+)
 
 # Absolute tolerance on elevations for overlap / violation decisions. Points
 # within a band around a constraint boundary may be classified either way.
@@ -114,17 +121,16 @@ def rate_split_analyze(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -
 
     Deterministic: the most negative elevation wins (ties by smallest original
     index), and the lowest-elevation overlapping adjacent pair merges first.
-    Terminates after at most M - 1 merges.
+    Terminates after at most M - 1 merges. Raises ValueError unless the
+    rates are finite and nonnegative.
     """
-    r_in = np.asarray(rates, dtype=float)
-    if r_in.shape != (config.num_users,):
-        raise ValueError(f"expected {config.num_users} rates, got shape {r_in.shape}")
-    if (r_in < 0).any():
-        raise ValueError("rates must be nonnegative")
+    r_in = rate_vector(config, rates)
+    if not ((r_in >= 0.0) & (r_in < math.inf)).all():
+        raise ValueError("rates must be finite and nonnegative")
 
     noise = config.noise
     p = list(config.powers)
-    r = [float(x) for x in r_in]
+    r = r_in.tolist()
     members = [frozenset({i + 1}) for i in range(len(p))]
     low = list(range(1, len(p) + 1))  # smallest original index, for tie-breaks
 
@@ -174,14 +180,13 @@ def find_most_violated(
     """Most negative constraint by exhaustive enumeration, or None if all clear.
 
     Ties break toward the smallest cardinality, then the smallest bitmask.
+    Raises ValueError on NaN or infinite rates.
     """
-    r = np.asarray(rates, dtype=float)
-    membership, capacities = constraint_table(config)
-    slacks = capacities - membership @ r
+    slacks = constraint_slacks(constraint_table(config), rate_vector(config, rates))
     worst = float(slacks.min())
     if worst >= -tol:
         return None
-    candidates = np.flatnonzero(slacks == slacks.min())
+    candidates = np.flatnonzero(slacks == worst)
     best_row = min(candidates, key=lambda k: (int(k + 1).bit_count(), int(k + 1)))
     return subset_members(int(best_row) + 1), worst
 
@@ -192,9 +197,8 @@ def certify_agreement(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) ->
     Points whose minimum slack lies within +-10*tol of zero are accepted
     either way (boundary tolerance band).
     """
-    r = np.asarray(rates, dtype=float)
-    membership, capacities = constraint_table(config)
-    min_slack = float((capacities - membership @ r).min())
+    r = rate_vector(config, rates)
+    min_slack = float(constraint_slacks(constraint_table(config), r).min())
     if abs(min_slack) <= 10.0 * tol:
         return True
     report = rate_split_analyze(config, r, tol=tol)

@@ -10,12 +10,15 @@ subset enumeration, vertex enumeration over all decoding orders, and a flat
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import macalloc
 from macalloc import (
     ChannelConfig,
     ConstantStep,
@@ -311,10 +314,15 @@ def test_criterion_9_cli_regression(tmp_path):
         "tol": 1e-12,
     }))
 
+    # the child imports the same macalloc as this process, installed or not
+    package_root = str(Path(macalloc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
     def run(args):
         return subprocess.run(
             [sys.executable, "-m", "macalloc", *args],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=env,
         ).stdout
 
     ok = True

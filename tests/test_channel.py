@@ -10,6 +10,7 @@ from macalloc import (
     ChannelConfig,
     awgn_capacity,
     constraint_slack,
+    constraint_table,
     is_feasible_bruteforce,
     subset_capacity,
     subset_mask,
@@ -132,6 +133,29 @@ class TestBruteForceFeasibility:
         cfg = ChannelConfig(tuple([1.0] * 21), 1.0)
         with pytest.raises(ValueError):
             is_feasible_bruteforce(cfg, np.zeros(21))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            is_feasible_bruteforce(TWO_USER, [bad, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            is_feasible_bruteforce(TWO_USER, [-1.0, bad])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_is_infeasible(self):
+        assert not is_feasible_bruteforce(TWO_USER, [1e308, 1e308])
+
+
+class TestConstraintTable:
+    def test_entry_k_is_bitmask_k(self):
+        cfg = ChannelConfig((1.0, 2.0, 4.0), 2.0)
+        power_sums, capacities = constraint_table(cfg)
+        assert power_sums.shape == capacities.shape == (8,)
+        for mask in range(8):
+            assert power_sums[mask] == sum(p for i, p in enumerate(cfg.powers) if mask >> i & 1)
+            expected = 0.5 * math.log1p(power_sums[mask] / cfg.noise)
+            assert capacities[mask] == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert not power_sums.flags.writeable and not capacities.flags.writeable
 
 
 class TestPolymatroidStructure:

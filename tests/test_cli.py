@@ -110,6 +110,13 @@ class TestCheckCommand:
     def test_negative_rate_rejected(self, pinned, capsys):
         assert main(["check", pinned, "--rate", "-0.1", "--rate", "0.1"]) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_rejected(self, pinned, capsys, bad):
+        assert main(["check", pinned, f"--rate={bad}", "--rate", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err
+
 
 class TestRegionCommand:
     def test_two_user_rows(self, pinned, capsys):

@@ -13,7 +13,6 @@ from macalloc import (
     TheoremCappedStep,
     WeightedLogUtility,
     alpha_max,
-    constraint_table,
     count_violations,
     expansion_delta,
     greedy_vertex,
@@ -21,7 +20,7 @@ from macalloc import (
     solve,
     subset_capacity,
 )
-from support import batch_feasible, boundary_scale, random_config
+from support import batch_feasible, boundary_scale, random_config, subset_table
 
 TWO_USER = ChannelConfig((1.0, 1.0), 1.0)
 
@@ -136,6 +135,19 @@ class TestCountViolations:
         cfg = ChannelConfig(tuple([1.0] * 21), 1.0)
         with pytest.raises(ValueError):
             count_violations(cfg, np.zeros(21))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            count_violations(TWO_USER, [bad, 0.1])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            count_violations(TWO_USER, [0.1])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_counts_every_constraint(self):
+        assert count_violations(TWO_USER, [1e308, 1e308]) == 3
 
 
 class TestStepsizeRules:
@@ -255,7 +267,7 @@ class TestTheoremCap:
         for m in (2, 4, 6, 8):
             cfg = random_config(rng, m)
             delta = expansion_delta(cfg)
-            membership, capacities = constraint_table(cfg)
+            membership, capacities = subset_table(cfg)
             for _ in range(2600):
                 direction = rng.uniform(0.05, 1.0, m)
                 # largest multiple of the direction inside the relaxed region

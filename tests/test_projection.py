@@ -72,6 +72,22 @@ class TestApproximateProjection:
             result.point, project_onto_hyperplane([0.3, 0.3], {1, 2}, full), atol=1e-15
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            approximate_projection(TWO_USER, [bad, 0.1])
+
+    def test_finder_repeating_a_subset_raises(self):
+        def always_user_1(config, rates):
+            return frozenset({1})
+
+        # {1} is violated once; after its projection the stub names it again
+        with pytest.raises(RuntimeError, match="twice"):
+            approximate_projection(TWO_USER, [0.5, 0.0], finder=always_user_1)
+        # at a feasible point the stub names a constraint that holds
+        with pytest.raises(RuntimeError, match="satisfies"):
+            approximate_projection(TWO_USER, [0.1, 0.1], finder=always_user_1)
+
     def test_clamp_only(self):
         result = approximate_projection(TWO_USER, [-0.1, 0.2])
         np.testing.assert_array_equal(result.point, [0.0, 0.2])

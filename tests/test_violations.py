@@ -77,6 +77,13 @@ class TestFindMostViolated:
         with pytest.raises(ValueError):
             find_most_violated(cfg, np.zeros(21))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            find_most_violated(TWO_USER, [bad, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            certify_agreement(TWO_USER, [bad, 0.1])
+
     def test_matches_plain_enumeration(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -131,6 +138,11 @@ class TestRateSplitExamples:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             rate_split_analyze(TWO_USER, [0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rate_split_analyze(TWO_USER, [bad, 0.1])
 
     def test_deterministic(self):
         point = [0.31, 0.29]
