@@ -25,7 +25,6 @@ from .optimizer import (
     IterationTrace,
     SolveSettings,
     StepsizeRule,
-    TheoremCappedStep,
     alpha_max,
     count_violations,
     expansion_delta,
@@ -37,18 +36,15 @@ from .projection import (
     approximate_projection,
     most_violated_finder,
     project_onto_hyperplane,
-    pseudo_nonexpansive_check,
     rate_split_finder,
 )
 from .utility import LinearUtility, Utility, WeightedLogUtility
 from .violations import (
     OVERLAP_TOL,
-    Configuration,
     Feasible,
     SpinOffUser,
     Violated,
     ViolationReport,
-    certify_agreement,
     elevation,
     find_most_violated,
     rate_split_analyze,
@@ -59,7 +55,6 @@ __all__ = [
     "FEASIBILITY_TOL",
     "OVERLAP_TOL",
     "ChannelConfig",
-    "Configuration",
     "ConstantStep",
     "DiminishingStep",
     "Feasible",
@@ -69,7 +64,6 @@ __all__ = [
     "SolveSettings",
     "SpinOffUser",
     "StepsizeRule",
-    "TheoremCappedStep",
     "Utility",
     "Violated",
     "ViolationReport",
@@ -77,7 +71,6 @@ __all__ = [
     "alpha_max",
     "approximate_projection",
     "awgn_capacity",
-    "certify_agreement",
     "constraint_slack",
     "constraint_table",
     "count_violations",
@@ -88,7 +81,6 @@ __all__ = [
     "is_feasible_bruteforce",
     "most_violated_finder",
     "project_onto_hyperplane",
-    "pseudo_nonexpansive_check",
     "rate_split_analyze",
     "rate_split_finder",
     "solve",

@@ -24,7 +24,6 @@ from .optimizer import (
     IterationTrace,
     SolveSettings,
     StepsizeRule,
-    TheoremCappedStep,
     solve,
 )
 from .utility import LinearUtility, Utility, WeightedLogUtility
@@ -118,7 +117,7 @@ def parse_problem(data, path: str) -> Problem:
     elif srule == "diminishing":
         rule = DiminishingStep(alpha0)
     elif srule == "theorem_capped":
-        rule = TheoremCappedStep(alpha0)
+        rule = DiminishingStep(alpha0, capped=True)
     else:
         raise ProblemFileError(f"{path}: stepsize.rule: unknown rule {srule!r}")
 

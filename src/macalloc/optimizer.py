@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,58 +32,45 @@ class ConstantStep:
     """alpha_k = alpha."""
 
     alpha: float
+    capped: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("stepsize must be positive")
 
-    def at(self, k: int, cap: float = math.inf) -> float:
+    def at(self, k: int) -> float:
         return self.alpha
 
 
 @dataclass(frozen=True)
 class DiminishingStep:
-    """alpha_k = alpha0 / sqrt(k + 1); vanishes but sums to infinity."""
+    """alpha_k = alpha0 / sqrt(k + 1); vanishes but sums to infinity.
+
+    With ``capped``, :func:`solve` clips each step at :func:`alpha_max`, so
+    that a gradient step can violate at most M constraints.
+    """
 
     alpha0: float = 0.1
+    capped: bool = False
 
     def __post_init__(self):
         if not self.alpha0 > 0:
             raise ValueError("stepsize must be positive")
 
-    def at(self, k: int, cap: float = math.inf) -> float:
+    def at(self, k: int) -> float:
         return self.alpha0 / math.sqrt(k + 1.0)
 
 
-@dataclass(frozen=True)
-class TheoremCappedStep:
-    """Diminishing schedule clipped at the at-most-M-violations cap."""
-
-    alpha0: float = 0.1
-
-    def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ValueError("stepsize must be positive")
-
-    def at(self, k: int, cap: float = math.inf) -> float:
-        return min(self.alpha0 / math.sqrt(k + 1.0), cap)
-
-
-StepsizeRule = ConstantStep | DiminishingStep | TheoremCappedStep
+StepsizeRule = ConstantStep | DiminishingStep
 
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Iteration budget and the stall test on the running best value.
-
-    The seed is reserved for randomized test-point sampling around the solver;
-    the iteration itself is deterministic.
-    """
+    """Iteration budget and the stall test on the running best value."""
 
     max_iters: int = 100_000
     tol: float = 1e-12
     window: int = 50
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -199,7 +187,7 @@ def solve(
     m = config.num_users
 
     cap = math.inf
-    if isinstance(rule, TheoremCappedStep):
+    if rule.capped:
         b = utility.bound()
         cap = alpha_max(config, b) if b > 0 else math.inf
 
@@ -222,7 +210,7 @@ def solve(
     stop_reason = "max_iters"
     for k in range(settings.max_iters):
         g = utility.subgradient(rates)
-        alpha = rule.at(k, cap)
+        alpha = min(rule.at(k), cap)
         step_point = rates + alpha * g
         violations = count_violations(config, step_point) if countable else -1
         result = approximate_projection(config, step_point, finder=finder)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelConfig, FEASIBILITY_TOL, subset_capacity
+from .channel import ChannelConfig, subset_capacity
 from .violations import OVERLAP_TOL, Violated, find_most_violated, rate_split_analyze
 
 # A violation finder maps (config, rates >= 0) to a violated subset or None.
@@ -122,19 +122,3 @@ def approximate_projection(
         clamped = clamped or floored
         used[subset] = None
     return ProjectionResult(y, tuple(used), clamped)
-
-
-def pseudo_nonexpansive_check(
-    config: ChannelConfig,
-    point,
-    feasible_point,
-    finder: ViolationFinder = rate_split_finder,
-    tol: float = FEASIBILITY_TOL,
-) -> bool:
-    """Projecting never moves a point away from any fixed feasible point."""
-    y = np.asarray(point, dtype=float)
-    anchor = np.asarray(feasible_point, dtype=float)
-    projected = approximate_projection(config, y, finder=finder).point
-    return bool(
-        np.linalg.norm(projected - anchor) <= np.linalg.norm(y - anchor) + tol
-    )

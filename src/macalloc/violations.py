@@ -6,16 +6,17 @@ Two strategies:
   one with the most negative slack (submodular-minimization by brute force,
   capped at small M).
 
-* :func:`rate_split_analyze` runs the rate-splitting recursion. Each round
-  computes the elevation of every current (hyper-)user, i.e. how much extra
-  Gaussian interference its rate tolerates; users whose "rectangles"
-  [elevation, elevation + power) overlap cannot be peeled off one at a time,
-  so the lowest overlapping adjacent pair is merged into a hyper-user with the
-  summed power and rate, and the round repeats on M - 1 users. A hyper-user
-  with negative elevation carries more rate than its joint capacity, which
-  names a violated constraint of the original configuration; if no overlap
-  remains, the sorted users certify decodability by successive cancellation.
-  Runs in O(M^2 log M) and scales far past the enumeration cap.
+* :func:`rate_split_analyze` runs the rate-splitting recursion. Every user
+  has an elevation, i.e. how much extra Gaussian interference its rate
+  tolerates; users whose "rectangles" [elevation, elevation + power) overlap
+  cannot be peeled off one at a time, so each round merges the lowest
+  overlapping adjacent pair into a hyper-user with the summed power and rate,
+  and the next round runs on one user fewer. Only the merged hyper-user's
+  elevation changes. A (hyper-)user with negative elevation carries more rate
+  than its joint capacity, which names a violated constraint of the original
+  configuration; if no overlap remains, the sorted users certify decodability
+  by successive cancellation. Runs in O(M^2 log M), the per-round sort, and
+  scales far past the enumeration cap.
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ def elevation(power: float, rate: float, noise: float) -> float:
         raise ValueError(f"noise must be positive, got {noise}")
     if rate < 0.0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
+    return _elevation(power, rate, noise)
+
+
+def _elevation(power: float, rate: float, noise: float) -> float:
+    """:func:`elevation` without the input checks."""
     if rate == 0.0:
         return math.inf
     if rate > _RATE_OVERFLOW:
@@ -73,27 +79,6 @@ class SpinOffUser:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """A set of spin-off users sharing one noise level."""
-
-    users: tuple[SpinOffUser, ...]
-    noise: float
-
-    @property
-    def num_users(self) -> int:
-        return len(self.users)
-
-    @classmethod
-    def from_rates(cls, config: ChannelConfig, rates) -> "Configuration":
-        r = np.asarray(rates, dtype=float)
-        users = tuple(
-            SpinOffUser(p, float(ri), elevation(p, float(ri), config.noise), frozenset({i + 1}))
-            for i, (p, ri) in enumerate(zip(config.powers, r))
-        )
-        return cls(users, config.noise)
-
-
-@dataclass(frozen=True)
 class Feasible:
     """Certificate of feasibility: spin-off users sorted by ascending elevation.
 
@@ -102,7 +87,6 @@ class Feasible:
     """
 
     decoding_order: tuple[SpinOffUser, ...]
-    spinoff: Configuration
 
 
 @dataclass(frozen=True)
@@ -131,47 +115,31 @@ def rate_split_analyze(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -
     noise = config.noise
     p = list(config.powers)
     r = r_in.tolist()
+    d = [_elevation(pj, rj, noise) for pj, rj in zip(p, r)]
     members = [frozenset({i + 1}) for i in range(len(p))]
     low = list(range(1, len(p) + 1))  # smallest original index, for tie-breaks
 
+    worst = min(range(len(d)), key=d.__getitem__)
+    if d[worst] < -tol:
+        return Violated(members[worst], constraint_slack(config, r_in, members[worst]))
+
     while True:
-        m = len(p)
-        d = []
-        for j in range(m):
-            rj = r[j]
-            if rj == 0.0:
-                d.append(math.inf)
-            elif rj > _RATE_OVERFLOW:
-                d.append(-noise)
-            else:
-                d.append(p[j] / math.expm1(2.0 * rj) - noise)
-
-        worst = -1
-        for j in range(m):
-            if d[j] < -tol and (worst < 0 or (d[j], low[j]) < (d[worst], low[worst])):
-                worst = j
-        if worst >= 0:
-            subset = members[worst]
-            return Violated(subset, constraint_slack(config, r_in, subset))
-
-        order = sorted(range(m), key=lambda j: (d[j], low[j]))
-
-        merge_at = -1
-        for t in range(m - 1):
-            a, b = order[t], order[t + 1]
+        order = sorted(range(len(p)), key=lambda j: (d[j], low[j]))
+        for a, b in zip(order, order[1:]):
             if d[b] < d[a] + p[a] - tol:
-                merge_at = t
                 break
-        if merge_at < 0:
-            users = tuple(SpinOffUser(p[j], r[j], d[j], members[j]) for j in order)
-            return Feasible(users, Configuration(users, noise))
+        else:
+            return Feasible(tuple(SpinOffUser(p[j], r[j], d[j], members[j]) for j in order))
 
-        a, b = order[merge_at], order[merge_at + 1]
+        # every other elevation is unchanged and was at least -tol
         p[a] += p[b]
         r[a] += r[b]
         members[a] = members[a] | members[b]
         low[a] = min(low[a], low[b])
-        del p[b], r[b], members[b], low[b]
+        d[a] = _elevation(p[a], r[a], noise)
+        if d[a] < -tol:
+            return Violated(members[a], constraint_slack(config, r_in, members[a]))
+        del p[b], r[b], d[b], members[b], low[b]
 
 
 def find_most_violated(
@@ -189,17 +157,3 @@ def find_most_violated(
     candidates = np.flatnonzero(slacks == worst)
     best_row = min(candidates, key=lambda k: (int(k + 1).bit_count(), int(k + 1)))
     return subset_members(int(best_row) + 1), worst
-
-
-def certify_agreement(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -> bool:
-    """Do rate splitting and brute force agree on feasibility of this point?
-
-    Points whose minimum slack lies within +-10*tol of zero are accepted
-    either way (boundary tolerance band).
-    """
-    r = rate_vector(config, rates)
-    min_slack = float(constraint_slacks(constraint_table(config), r).min())
-    if abs(min_slack) <= 10.0 * tol:
-        return True
-    report = rate_split_analyze(config, r, tol=tol)
-    return isinstance(report, Violated) == (min_slack < 0.0)

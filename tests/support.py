@@ -1,4 +1,5 @@
-"""Shared helpers for sampling test points in and around the capacity region.
+"""Shared helpers for sampling test points in and around the capacity region,
+and the oracles that check the package against them.
 
 The constraint enumeration here is the tests' own (itertools, Python sums
 and numpy's ``log1p``); it does not read the package's constraint table, so
@@ -10,7 +11,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from macalloc import ChannelConfig
+from macalloc import (
+    FEASIBILITY_TOL,
+    OVERLAP_TOL,
+    ChannelConfig,
+    Violated,
+    approximate_projection,
+    rate_split_analyze,
+    rate_split_finder,
+)
 
 
 def random_config(rng, m, lo=0.5, hi=2.0, noise=1.0) -> ChannelConfig:
@@ -73,3 +82,26 @@ def batch_feasible(config, points, tol=1e-9) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ok_nonneg = (pts >= -tol).all(axis=1)
     return ok_nonneg & (min_slack(config, pts) >= -tol)
+
+
+def certify_agreement(config, rates, tol=OVERLAP_TOL) -> bool:
+    """Do rate splitting and enumeration agree on feasibility of this point?
+
+    Points whose minimum slack lies within +-10*tol of zero are accepted
+    either way (boundary tolerance band).
+    """
+    worst = float(min_slack(config, rates)[0])
+    if abs(worst) <= 10.0 * tol:
+        return True
+    report = rate_split_analyze(config, rates, tol=tol)
+    return isinstance(report, Violated) == (worst < 0.0)
+
+
+def pseudo_nonexpansive_check(
+    config, point, feasible_point, finder=rate_split_finder, tol=FEASIBILITY_TOL
+) -> bool:
+    """Projecting never moves a point away from a fixed feasible point."""
+    y = np.asarray(point, dtype=float)
+    anchor = np.asarray(feasible_point, dtype=float)
+    projected = approximate_projection(config, y, finder=finder).point
+    return bool(np.linalg.norm(projected - anchor) <= np.linalg.norm(y - anchor) + tol)

@@ -25,7 +25,6 @@ from macalloc import (
     DiminishingStep,
     LinearUtility,
     SolveSettings,
-    TheoremCappedStep,
     Violated,
     WeightedLogUtility,
     approximate_projection,
@@ -206,7 +205,7 @@ def test_criterion_6_violation_cap():
         cfg = ChannelConfig(tuple(rng.uniform(0.5, 2.0, m)), 1.0)
         u = LinearUtility(rng.uniform(0.5, 2.0, m))
         _, trace = solve(
-            cfg, u, TheoremCappedStep(0.1), SolveSettings(max_iters=300, tol=1e-18, window=301)
+            cfg, u, DiminishingStep(0.1, capped=True), SolveSettings(max_iters=300, tol=1e-18, window=301)
         )
         cap_ok = cap_ok and int(trace.violations_pre.max()) <= m
 

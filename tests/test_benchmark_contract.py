@@ -1,0 +1,88 @@
+"""The names and call shapes the benchmark in ``perfbench/`` reads from the package.
+
+perfbench looks these names up at run time and swaps timing wrappers into
+``macalloc.optimizer``. A cleanup that removes or renames one of them leaves
+a benchmark run without a result line, so each is pinned here with the call
+shape perfbench uses.
+"""
+
+import io
+import json
+
+import numpy as np
+
+import macalloc
+import macalloc.cli as cli
+import macalloc.optimizer as optimizer
+import macalloc.projection as projection
+import macalloc.violations as violations
+
+CONFIG = macalloc.ChannelConfig((0.5, 1.0, 2.0), 1.0)
+PINNED_PROBLEM = {
+    "powers": [1.0, 1.0],
+    "noise": 1.0,
+    "utility": {"type": "linear", "weights": [2.0, 1.0]},
+    "stepsize": {"rule": "constant", "alpha0": 2e-4},
+    "max_iters": 50,
+    "tol": 1e-12,
+}
+
+
+def test_solver_workload_calls():
+    utility = macalloc.WeightedLogUtility(np.ones(3), epsilon=1e-2)
+    settings = macalloc.SolveSettings(max_iters=5, window=6)
+    best, trace = macalloc.solve(
+        CONFIG, utility, macalloc.DiminishingStep(0.1), settings, finder=projection.rate_split_finder
+    )
+    assert trace.iterations == 5
+    assert int(np.sum(trace.projections)) >= 1
+    assert trace.best_utility == utility.value(best)
+
+
+def test_solve_calls_the_layers_through_the_optimizer_module(monkeypatch):
+    calls = {"count_violations": 0, "approximate_projection": 0, "constraint_table": 0}
+    for name in calls:
+        original = getattr(optimizer, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, name, counted)
+    macalloc.solve(
+        CONFIG, macalloc.LinearUtility([1.0, 1.0, 1.0]), macalloc.DiminishingStep(0.1),
+        macalloc.SolveSettings(max_iters=3, window=4),
+    )
+    assert all(n >= 1 for n in calls.values()), calls
+
+
+def test_constraint_table_is_cached_arrays():
+    config = macalloc.ChannelConfig((0.7, 1.3), 1.1)
+    optimizer.constraint_table(config)
+    misses = optimizer.constraint_table.cache_info().misses
+    arrays = optimizer.constraint_table(config)
+    assert optimizer.constraint_table.cache_info().misses == misses
+    assert sum(a.nbytes for a in arrays) > 0
+
+
+def test_check_workload_calls():
+    m = 6
+    config = macalloc.ChannelConfig((1.2,) * m, 1.0)
+    full = 0.5 * np.log1p(1.2 * m)
+    report = violations.rate_split_analyze(config, np.full(m, full / m * (1.0 + 1e-7)))
+    assert macalloc.rate_split_analyze is violations.rate_split_analyze
+    assert isinstance(report, macalloc.Violated)
+    assert report.subset == frozenset(range(1, m + 1))
+    assert macalloc.Violated(report.subset, report.slack) == report
+
+
+def test_cli_calls(tmp_path):
+    problem_path = tmp_path / "pinned.json"
+    problem_path.write_text(json.dumps(PINNED_PROBLEM))
+    problem = cli.load_problem(str(problem_path))
+    best, trace = macalloc.solve(problem.config, problem.utility, problem.rule, problem.settings)
+    out = io.StringIO()
+    cli.write_trace_csv(trace, out)
+    assert len(out.getvalue().splitlines()) == trace.iterations + 2
+    assert trace.best_utility == problem.utility.value(best)
+    assert cli.main(["solve", str(problem_path), "--trace", str(tmp_path / "t.csv")]) == 0

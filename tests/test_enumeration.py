@@ -8,16 +8,15 @@ import pytest
 from macalloc import (
     ChannelConfig,
     Violated,
-    certify_agreement,
     constraint_table,
     count_violations,
     find_most_violated,
     is_feasible_bruteforce,
     rate_split_analyze,
 )
-from support import nonempty_subsets, subset_table
+from support import certify_agreement, nonempty_subsets, subset_table
 
-TOL = 1e-9  # default tolerance of all four entry points
+TOL = 1e-9  # default tolerance of all four checks
 BAND = 1e-11  # oracle slacks this close to a decision threshold are skipped
 POWER_SCALES = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -44,7 +43,8 @@ def _near(values, threshold):
 
 
 def _check_point(cfg, point):
-    """Compare all four entry points with the oracle; returns the tied minimizers."""
+    """Compare the three enumeration entry points and support's rate-split
+    agreement check with the oracle; returns the tied minimizers."""
     slacks = _oracle_slacks(cfg, point)
     expected, ties = _oracle_most_violated(slacks, cfg.num_users)
     assert find_most_violated(cfg, point) == expected
@@ -64,7 +64,7 @@ def _check_point(cfg, point):
 
 def test_enumeration_matches_itertools():
     """count_violations, find_most_violated, is_feasible_bruteforce and
-    certify_agreement match the itertools oracle at M <= 8 and power scales
+    support.certify_agreement match the itertools oracle at M <= 8 and power scales
     1e-3..1e3, the most violated subset down to its tie-break.
 
     Tied deepest subsets come from equal-power configs: users 1..M-1 carry a

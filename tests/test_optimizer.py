@@ -10,7 +10,6 @@ from macalloc import (
     DiminishingStep,
     LinearUtility,
     SolveSettings,
-    TheoremCappedStep,
     WeightedLogUtility,
     alpha_max,
     count_violations,
@@ -152,18 +151,27 @@ class TestCountViolations:
 
 class TestStepsizeRules:
     def test_all_positive(self):
-        for rule in (ConstantStep(0.1), DiminishingStep(0.1), TheoremCappedStep(0.1)):
+        for rule in (ConstantStep(0.1), DiminishingStep(0.1), DiminishingStep(0.1, capped=True)):
             for k in (0, 1, 10, 10_000):
-                assert rule.at(k, cap=0.05) > 0.0
+                assert rule.at(k) > 0.0
 
     def test_diminishing_schedule(self):
         rule = DiminishingStep(0.2)
         assert rule.at(0) == pytest.approx(0.2)
         assert rule.at(3) == pytest.approx(0.1)
 
-    def test_cap_applies_only_to_capped_rule(self):
-        assert TheoremCappedStep(1.0).at(0, cap=0.01) == pytest.approx(0.01)
-        assert DiminishingStep(1.0).at(0, cap=0.01) == pytest.approx(1.0)
+    def test_solve_caps_only_the_capped_rule(self):
+        u = LinearUtility([1.0, 1.0])
+        cap = alpha_max(TWO_USER, u.bound())
+        settings = SolveSettings(max_iters=30, tol=1e-18, window=31)
+        _, capped = solve(TWO_USER, u, DiminishingStep(0.1, capped=True), settings)
+        _, plain = solve(TWO_USER, u, DiminishingStep(0.1), settings)
+        for k in range(30):
+            assert capped.stepsizes[k + 1] == min(0.1 / math.sqrt(k + 1.0), cap)
+            assert plain.stepsizes[k + 1] == 0.1 / math.sqrt(k + 1.0)
+        # the cap binds early and releases later, so both branches of the min ran
+        assert capped.stepsizes[1] == cap < plain.stepsizes[1]
+        assert capped.stepsizes[-1] == plain.stepsizes[-1] < cap
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -256,7 +264,7 @@ class TestTheoremCap:
             _, trace = solve(
                 cfg,
                 u,
-                TheoremCappedStep(0.1),
+                DiminishingStep(0.1, capped=True),
                 SolveSettings(max_iters=200, tol=1e-18, window=201),
             )
             assert trace.violations_pre.max() <= m

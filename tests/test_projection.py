@@ -11,11 +11,16 @@ from macalloc import (
     is_feasible_bruteforce,
     most_violated_finder,
     project_onto_hyperplane,
-    pseudo_nonexpansive_check,
     rate_split_finder,
     subset_capacity,
 )
-from support import batch_feasible, random_config, random_feasible, random_infeasible
+from support import (
+    batch_feasible,
+    pseudo_nonexpansive_check,
+    random_config,
+    random_feasible,
+    random_infeasible,
+)
 
 TWO_USER = ChannelConfig((1.0, 1.0), 1.0)
 FINDERS = [rate_split_finder, most_violated_finder]

@@ -11,15 +11,15 @@ from macalloc import (
     Feasible,
     Violated,
     awgn_capacity,
-    certify_agreement,
     constraint_slack,
     elevation,
     find_most_violated,
+    greedy_vertex,
     is_feasible_bruteforce,
     rate_split_analyze,
     subset_capacity,
 )
-from support import random_config, random_feasible, random_infeasible
+from support import certify_agreement, random_config, random_feasible, random_infeasible
 
 TWO_USER = ChannelConfig((1.0, 1.0), 1.0)
 
@@ -81,8 +81,6 @@ class TestFindMostViolated:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             find_most_violated(TWO_USER, [bad, 0.1])
-        with pytest.raises(ValueError, match="finite"):
-            certify_agreement(TWO_USER, [bad, 0.1])
 
     def test_matches_plain_enumeration(self):
         rng = np.random.default_rng(3)
@@ -124,12 +122,27 @@ class TestRateSplitExamples:
         # merge into one hyper-user, and that hyper-user checks out
         report = rate_split_analyze(TWO_USER, [0.27, 0.27])
         assert isinstance(report, Feasible)
-        assert report.spinoff.num_users == 1
+        assert len(report.decoding_order) == 1
         merged = report.decoding_order[0]
         assert merged.members == {1, 2}
         assert merged.power == pytest.approx(2.0)
         assert merged.rate == pytest.approx(0.54)
         assert merged.elevation >= 0.0
+
+    def test_violation_found_after_two_merges(self):
+        # users 1-3 overlap and merge pairwise; only the merged triple is over
+        # its bound, while users 4 and 5 sit far above them
+        cfg = ChannelConfig((1.0,) * 5, 1.0)
+        a = 0.5 * math.log(4.0) / 3.0 * (1.0 + 1e-4)
+        point = np.array([a, a, a, 0.01, 0.02])
+        for size in (1, 2):
+            for c in itertools.combinations(range(1, 6), size):
+                assert constraint_slack(cfg, point, c) > 0.0
+        report = rate_split_analyze(cfg, point)
+        assert isinstance(report, Violated)
+        assert report.subset == {1, 2, 3}
+        assert report.slack == constraint_slack(cfg, point, {1, 2, 3})
+        assert report.slack == pytest.approx(0.5 * math.log(4.0) - 3.0 * a, abs=1e-15)
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ValueError):
@@ -200,6 +213,27 @@ class TestRateSplitSoundness:
                     assert b.elevation == math.inf
 
             assert is_feasible_bruteforce(cfg, point)
+
+    def test_certificate_elevations_match_elevation(self):
+        """Every certified (hyper-)user carries exactly elevation(power, rate, noise)."""
+        rng = np.random.default_rng(37)
+        merged = 0
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for _ in range(20):
+                m = int(rng.integers(1, 51))
+                cfg = ChannelConfig(tuple(scale * rng.uniform(0.5, 2.0, m)), scale * rng.uniform(0.5, 2.0))
+                # a point just below the dominant face, between two decoding orders
+                t = rng.uniform()
+                point = t * greedy_vertex(cfg, rng.permutation(m) + 1)
+                point += (1.0 - t) * greedy_vertex(cfg, rng.permutation(m) + 1)
+                point *= rng.uniform(0.9, 0.999)
+                point[rng.uniform(size=m) < 0.2] = 0.0
+                report = rate_split_analyze(cfg, point)
+                assert isinstance(report, Feasible)
+                for u in report.decoding_order:
+                    assert u.elevation == elevation(u.power, u.rate, cfg.noise)
+                    merged += len(u.members) > 1
+        assert merged >= 50
 
     def test_most_violated_is_at_least_as_deep(self):
         rng = np.random.default_rng(29)
