@@ -2,21 +2,19 @@
 
 The capacity region is a polymatroid cut out by 2**M - 1 sum-rate
 constraints; the solver runs gradient projection with approximate
-projections, finding violated constraints either by enumeration (small M)
-or by the rate-splitting recursion (polynomial in M). All rates are in nats
-per channel use.
+projections, finding violated constraints by the rate-splitting recursion
+(polynomial in M). Enumerating all constraints is left to the diagnostic
+violation count and the ``region`` listing, both capped at small M. All
+rates are in nats per channel use.
 """
 
 from .channel import (
     BRUTE_FORCE_MAX_USERS,
-    FEASIBILITY_TOL,
     ChannelConfig,
     awgn_capacity,
     constraint_slack,
     constraint_table,
-    is_feasible_bruteforce,
     subset_capacity,
-    subset_mask,
     subset_members,
 )
 from .optimizer import (
@@ -34,8 +32,6 @@ from .optimizer import (
 from .projection import (
     ProjectionResult,
     approximate_projection,
-    most_violated_finder,
-    project_onto_hyperplane,
     rate_split_finder,
 )
 from .utility import LinearUtility, Utility, WeightedLogUtility
@@ -46,13 +42,11 @@ from .violations import (
     Violated,
     ViolationReport,
     elevation,
-    find_most_violated,
     rate_split_analyze,
 )
 
 __all__ = [
     "BRUTE_FORCE_MAX_USERS",
-    "FEASIBILITY_TOL",
     "OVERLAP_TOL",
     "ChannelConfig",
     "ConstantStep",
@@ -76,15 +70,10 @@ __all__ = [
     "count_violations",
     "elevation",
     "expansion_delta",
-    "find_most_violated",
     "greedy_vertex",
-    "is_feasible_bruteforce",
-    "most_violated_finder",
-    "project_onto_hyperplane",
     "rate_split_analyze",
     "rate_split_finder",
     "solve",
     "subset_capacity",
-    "subset_mask",
     "subset_members",
 ]

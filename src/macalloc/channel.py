@@ -18,11 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-# Guard for the 2**M enumeration oracles.
+# Guard for the 2**M enumeration of every constraint.
 BRUTE_FORCE_MAX_USERS = 20
-
-# Default absolute tolerance on constraint slack for feasibility queries.
-FEASIBILITY_TOL = 1e-9
 
 
 def awgn_capacity(power: float, noise: float) -> float:
@@ -61,16 +58,8 @@ class ChannelConfig:
         return len(self.powers)
 
 
-def subset_mask(members: Iterable[int]) -> int:
-    """Bitmask of a set of 1-based user indices (bit i-1 marks user i)."""
-    mask = 0
-    for i in members:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def subset_members(mask: int) -> frozenset[int]:
-    """Inverse of :func:`subset_mask`."""
+    """1-based user indices of a bitmask (bit i-1 marks user i)."""
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
@@ -117,7 +106,7 @@ def subset_sums(values) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def constraint_table(config: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """All 2**M - 1 constraints at once, for vectorized oracles.
+    """All 2**M - 1 constraints at once, for the vectorized violation count.
 
     Returns ``(power_sums, capacities)``, two read-only arrays of length
     2**M indexed by bitmask: entry k belongs to the subset with bitmask k
@@ -141,29 +130,3 @@ def rate_vector(config: ChannelConfig, rates) -> np.ndarray:
     if r.shape != (config.num_users,):
         raise ValueError(f"expected {config.num_users} rates, got shape {r.shape}")
     return r
-
-
-def constraint_slacks(table: tuple[np.ndarray, np.ndarray], rates: np.ndarray) -> np.ndarray:
-    """Slack of every nonempty subset under a :func:`constraint_table`.
-
-    Entry k belongs to the bitmask k + 1. Raises ValueError on NaN or
-    infinite rates: any of them makes the sum over all users non-finite, so
-    the rates themselves are only inspected when that sum is.
-    """
-    sums = subset_sums(rates)
-    if not math.isfinite(sums[-1]) and not np.isfinite(rates).all():
-        raise ValueError("rates must be finite")
-    # in place: a second 2**M buffer costs more in page faults than the subtraction
-    slacks = sums[1:]
-    np.subtract(table[1][1:], slacks, out=slacks)
-    return slacks
-
-
-def is_feasible_bruteforce(config: ChannelConfig, rates, tol: float = FEASIBILITY_TOL) -> bool:
-    """Check every one of the 2**M - 1 sum-rate constraints plus nonnegativity.
-
-    Raises ValueError on NaN or infinite rates.
-    """
-    r = rate_vector(config, rates)
-    slacks = constraint_slacks(constraint_table(config), r)
-    return bool((r >= -tol).all() and (slacks >= -tol).all())

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelConfig, subset_capacity
-from .violations import OVERLAP_TOL, Violated, find_most_violated, rate_split_analyze
+from .violations import OVERLAP_TOL, Violated, rate_split_analyze
 
 # A violation finder maps (config, rates >= 0) to a violated subset or None.
 ViolationFinder = Callable[[ChannelConfig, np.ndarray], "frozenset[int] | None"]
@@ -29,40 +29,13 @@ def rate_split_finder(config: ChannelConfig, rates, tol: float = OVERLAP_TOL):
     return report.subset if isinstance(report, Violated) else None
 
 
-def most_violated_finder(config: ChannelConfig, rates, tol: float = OVERLAP_TOL):
-    """Finder returning the most violated constraint (enumeration, small M)."""
-    hit = find_most_violated(config, rates, tol=tol)
-    return hit[0] if hit is not None else None
-
-
 @dataclass(frozen=True)
 class ProjectionResult:
     point: np.ndarray
     hyperplanes_used: tuple[frozenset[int], ...]
-    clamped: bool
 
 
-def project_onto_hyperplane(point, members, level: float) -> np.ndarray:
-    """Euclidean projection onto {x : sum_{i in S} x_i = level}.
-
-    For the 0/1 indicator a of S this is x = y - ((a'y - level)/|S|) a:
-    the excess is split evenly over the members; other coordinates are
-    untouched.
-    """
-    s = sorted(set(members))
-    if not s:
-        raise ValueError("cannot project onto the empty subset")
-    y = np.array(point, dtype=float)
-    idx = np.asarray(s) - 1
-    if idx[0] < 0 or idx[-1] >= len(y):
-        raise ValueError(f"subset {s} out of range for a {len(y)}-vector")
-    y[idx] -= (y[idx].sum() - level) / len(idx)
-    return y
-
-
-def _capped_projection(
-    point: np.ndarray, idx: np.ndarray, vals: np.ndarray, level: float
-) -> tuple[np.ndarray, bool]:
+def _capped_projection(point: np.ndarray, idx: np.ndarray, vals: np.ndarray, level: float) -> np.ndarray:
     """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}.
 
     ``vals`` holds the point's coordinates on S (index array ``idx``) and must
@@ -83,7 +56,7 @@ def _capped_projection(
     theta = theta_cand[rho]
     out = point.copy()
     out[idx] = np.maximum(vals - theta, 0.0)
-    return out, bool((vals < theta).any())
+    return out
 
 
 def approximate_projection(
@@ -103,7 +76,6 @@ def approximate_projection(
     low = y.min()  # NaN if any coordinate is NaN, and NaN > -inf is False
     if not (low > -math.inf and y.max() < math.inf):
         raise ValueError("coordinates must be finite")
-    clamped = bool(low < 0.0)
     np.maximum(y, 0.0, out=y)
 
     used: dict[frozenset[int], None] = {}  # insertion-ordered, O(1) membership
@@ -118,7 +90,6 @@ def approximate_projection(
         level = subset_capacity(config, subset)
         if vals.sum() <= level:
             raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
-        y, floored = _capped_projection(y, idx, vals, level)
-        clamped = clamped or floored
+        y = _capped_projection(y, idx, vals, level)
         used[subset] = None
-    return ProjectionResult(y, tuple(used), clamped)
+    return ProjectionResult(y, tuple(used))

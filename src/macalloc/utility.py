@@ -11,6 +11,16 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 
+def _checked_weights(weights) -> np.ndarray:
+    w = np.array(weights, dtype=float)
+    if w.ndim != 1 or len(w) < 1:
+        raise ValueError("weights must be a nonempty vector")
+    if not ((w >= 0) & (w < np.inf)).all():
+        raise ValueError("weights must be finite and nonnegative")
+    w.setflags(write=False)
+    return w
+
+
 def _checked_rates(rates) -> np.ndarray:
     r = np.asarray(rates, dtype=float)
     if (r < 0).any():
@@ -36,13 +46,7 @@ class LinearUtility(Utility):
     """Weighted sum of rates, sum_i w_i R_i with w_i >= 0."""
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or len(w) < 1:
-            raise ValueError("weights must be a nonempty vector")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
-        self.weights = w
-        self.weights.setflags(write=False)
+        self.weights = _checked_weights(weights)
 
     def value(self, rates) -> float:
         return float(self.weights @ _checked_rates(rates))
@@ -63,15 +67,9 @@ class WeightedLogUtility(Utility):
     """
 
     def __init__(self, weights, epsilon: float = 1e-2):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or len(w) < 1:
-            raise ValueError("weights must be a nonempty vector")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
         if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        self.weights = w
-        self.weights.setflags(write=False)
+        self.weights = _checked_weights(weights)
         self.epsilon = float(epsilon)
 
     def value(self, rates) -> float:

@@ -1,22 +1,16 @@
-"""Locating violated capacity constraints, fast and slow.
+"""Locating violated capacity constraints with the rate-splitting recursion.
 
-Two strategies:
-
-* :func:`find_most_violated` enumerates all 2**M - 1 subsets and returns the
-  one with the most negative slack (submodular-minimization by brute force,
-  capped at small M).
-
-* :func:`rate_split_analyze` runs the rate-splitting recursion. Every user
-  has an elevation, i.e. how much extra Gaussian interference its rate
-  tolerates; users whose "rectangles" [elevation, elevation + power) overlap
-  cannot be peeled off one at a time, so each round merges the lowest
-  overlapping adjacent pair into a hyper-user with the summed power and rate,
-  and the next round runs on one user fewer. Only the merged hyper-user's
-  elevation changes. A (hyper-)user with negative elevation carries more rate
-  than its joint capacity, which names a violated constraint of the original
-  configuration; if no overlap remains, the sorted users certify decodability
-  by successive cancellation. Runs in O(M^2 log M), the per-round sort, and
-  scales far past the enumeration cap.
+:func:`rate_split_analyze` gives every user an elevation, i.e. how much extra
+Gaussian interference its rate tolerates. Users whose "rectangles"
+[elevation, elevation + power) overlap cannot be peeled off one at a time, so
+each round merges the lowest overlapping adjacent pair into a hyper-user with
+the summed power and rate, and the next round runs on one user fewer. Only
+the merged hyper-user's elevation changes. A (hyper-)user with negative
+elevation carries more rate than its joint capacity, which names a violated
+constraint of the original configuration; if no overlap remains, the sorted
+users certify decodability by successive cancellation. Runs in
+O(M^2 log M), the per-round sort, with no enumeration of the 2**M - 1
+constraints.
 """
 
 from __future__ import annotations
@@ -24,19 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .channel import ChannelConfig, constraint_slack, rate_vector
 
-from .channel import (
-    ChannelConfig,
-    constraint_slack,
-    constraint_slacks,
-    constraint_table,
-    rate_vector,
-    subset_members,
-)
-
-# Absolute tolerance on elevations for overlap / violation decisions. Points
-# within a band around a constraint boundary may be classified either way.
+# Tolerance on elevations for overlap / violation decisions, relative to the
+# noise: elevations are in units of power, so the band scales with the noise.
+# Points within the band around a constraint boundary may be classified
+# either way.
 OVERLAP_TOL = 1e-9
 
 # Beyond this rate expm1 overflows; the elevation is -noise to double precision.
@@ -105,7 +92,8 @@ def rate_split_analyze(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -
 
     Deterministic: the most negative elevation wins (ties by smallest original
     index), and the lowest-elevation overlapping adjacent pair merges first.
-    Terminates after at most M - 1 merges. Raises ValueError unless the
+    ``tol`` is in units of the noise, so the decisions depend only on the
+    SNRs. Terminates after at most M - 1 merges. Raises ValueError unless the
     rates are finite and nonnegative.
     """
     r_in = rate_vector(config, rates)
@@ -113,6 +101,7 @@ def rate_split_analyze(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -
         raise ValueError("rates must be finite and nonnegative")
 
     noise = config.noise
+    tol *= noise
     p = list(config.powers)
     r = r_in.tolist()
     d = [_elevation(pj, rj, noise) for pj, rj in zip(p, r)]
@@ -140,20 +129,3 @@ def rate_split_analyze(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -
         if d[a] < -tol:
             return Violated(members[a], constraint_slack(config, r_in, members[a]))
         del p[b], r[b], d[b], members[b], low[b]
-
-
-def find_most_violated(
-    config: ChannelConfig, rates, tol: float = OVERLAP_TOL
-) -> tuple[frozenset[int], float] | None:
-    """Most negative constraint by exhaustive enumeration, or None if all clear.
-
-    Ties break toward the smallest cardinality, then the smallest bitmask.
-    Raises ValueError on NaN or infinite rates.
-    """
-    slacks = constraint_slacks(constraint_table(config), rate_vector(config, rates))
-    worst = float(slacks.min())
-    if worst >= -tol:
-        return None
-    candidates = np.flatnonzero(slacks == worst)
-    best_row = min(candidates, key=lambda k: (int(k + 1).bit_count(), int(k + 1)))
-    return subset_members(int(best_row) + 1), worst

@@ -3,7 +3,10 @@ and the oracles that check the package against them.
 
 The constraint enumeration here is the tests' own (itertools, Python sums
 and numpy's ``log1p``); it does not read the package's constraint table, so
-the oracles built on it check that table instead of repeating it.
+the oracles built on it check that table instead of repeating it. The
+most-violated finder and the plain hyperplane projection are the references
+that the package's rate-splitting finder and floored projection are checked
+against.
 """
 
 import itertools
@@ -12,7 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from macalloc import (
-    FEASIBILITY_TOL,
     OVERLAP_TOL,
     ChannelConfig,
     Violated,
@@ -77,9 +79,58 @@ def random_infeasible(rng, config) -> np.ndarray:
     return direction * boundary_scale(config, direction) * rng.uniform(1.02, 2.5)
 
 
+def find_most_violated(config, rates, tol=1e-9):
+    """Deepest violated constraint as ``(members, slack)``, or None.
+
+    Ties go to the smallest cardinality, then the smallest bitmask. Each load
+    is summed in increasing user order, so designed ties stay exact.
+    """
+    membership, capacities = subset_table(config)
+    loads = np.zeros(len(capacities))
+    for i, x in enumerate(np.asarray(rates, dtype=float)):
+        loads += membership[:, i] * x
+    slacks = capacities - loads
+    worst = float(slacks.min())
+    if worst >= -tol:
+        return None
+    subsets = nonempty_subsets(config.num_users)
+    ties = [subsets[k] for k in np.flatnonzero(slacks == worst)]
+    best = min(ties, key=lambda s: (len(s), sum(1 << i for i in s)))
+    return frozenset(i + 1 for i in best), worst
+
+
+def most_violated_finder(config, rates):
+    """Violation finder for ``approximate_projection`` by exhaustive enumeration."""
+    hit = find_most_violated(config, rates)
+    return hit[0] if hit is not None else None
+
+
+def project_onto_hyperplane(point, members, level: float) -> np.ndarray:
+    """Euclidean projection onto {x : sum_{i in S} x_i = level}.
+
+    For the 0/1 indicator a of S this is x = y - ((a'y - level)/|S|) a: the
+    excess is split evenly over the members; other coordinates are untouched.
+    """
+    s = sorted(set(members))
+    if not s:
+        raise ValueError("cannot project onto the empty subset")
+    y = np.array(point, dtype=float)
+    idx = np.asarray(s) - 1
+    if idx[0] < 0 or idx[-1] >= len(y):
+        raise ValueError(f"subset {s} out of range for a {len(y)}-vector")
+    y[idx] -= (y[idx].sum() - level) / len(idx)
+    return y
+
+
 def batch_feasible(config, points, tol=1e-9) -> np.ndarray:
-    """Vectorized brute-force feasibility for each row of ``points``."""
+    """Vectorized brute-force feasibility for each row of ``points``.
+
+    Raises ValueError on NaN or infinite coordinates, which have no
+    feasibility to report.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValueError("rates must be finite")
     ok_nonneg = (pts >= -tol).all(axis=1)
     return ok_nonneg & (min_slack(config, pts) >= -tol)
 
@@ -97,9 +148,7 @@ def certify_agreement(config, rates, tol=OVERLAP_TOL) -> bool:
     return isinstance(report, Violated) == (worst < 0.0)
 
 
-def pseudo_nonexpansive_check(
-    config, point, feasible_point, finder=rate_split_finder, tol=FEASIBILITY_TOL
-) -> bool:
+def pseudo_nonexpansive_check(config, point, feasible_point, finder=rate_split_finder, tol=1e-9) -> bool:
     """Projecting never moves a point away from a fixed feasible point."""
     y = np.asarray(point, dtype=float)
     anchor = np.asarray(feasible_point, dtype=float)

@@ -85,6 +85,19 @@ class TestSolveCommand:
         assert t1.read_bytes() == t2.read_bytes()
         assert out1 == out2
 
+    def test_large_noise_problem_solves(self, problem_file, tmp_path, capsys):
+        """Powers and noise scaled by 1e6 together: the SNRs of a problem that
+        solves at noise 1, which must not end in an error."""
+        path = problem_file({
+            "powers": [5e5, 7.5e5, 1e6, 1.25e6, 1.5e6, 1.75e6, 2e6],
+            "noise": 1e6,
+            "utility": {"type": "linear", "weights": [1.0] * 7},
+            "stepsize": {"rule": "diminishing", "alpha0": 0.1},
+            "max_iters": 200,
+        })
+        assert main(["solve", path, "--trace", str(tmp_path / "t.csv")]) == 0
+        assert capsys.readouterr().out.startswith("utility=")
+
     def test_unwritable_trace_is_io_error(self, pinned, tmp_path, capsys):
         assert main(["solve", pinned, "--trace", str(tmp_path / "no" / "dir.csv")]) == 1
 

@@ -15,7 +15,6 @@ from macalloc import (
     count_violations,
     expansion_delta,
     greedy_vertex,
-    is_feasible_bruteforce,
     solve,
     subset_capacity,
 )
@@ -111,7 +110,7 @@ class TestGreedyVertex:
         for m in (2, 3, 4, 5, 6):
             cfg = random_config(rng, m)
             for order in itertools.permutations(range(1, m + 1)):
-                assert is_feasible_bruteforce(cfg, greedy_vertex(cfg, order))
+                assert batch_feasible(cfg, greedy_vertex(cfg, order)).all()
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError):
@@ -139,6 +138,8 @@ class TestCountViolations:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             count_violations(TWO_USER, [bad, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            count_violations(TWO_USER, [-1.0, bad])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -246,6 +247,18 @@ class TestSolve:
         _, trace = solve(TWO_USER, LinearUtility([0.0, 0.0]), DiminishingStep(0.1), settings)
         assert trace.stop_reason == "stalled"
         assert trace.iterations == settings.window
+
+    def test_large_noise_solves(self):
+        """Powers and noise scaled by 1e6 together keep the SNRs: no RuntimeError
+        from the projection loop, and every iterate is feasible."""
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(2, 11))
+            cfg = ChannelConfig(tuple(1e6 * rng.uniform(0.5, 2.0, m)), 1e6)
+            u = LinearUtility(rng.uniform(0.5, 2.0, m))
+            _, trace = solve(cfg, u, DiminishingStep(0.1), SolveSettings(max_iters=60, tol=1e-18, window=61))
+            assert batch_feasible(cfg, trace.rates).all()
+            assert trace.projections.sum() > 0
 
     def test_large_m_skips_violation_counts(self):
         cfg = ChannelConfig(tuple([1.0] * 21), 1.0)

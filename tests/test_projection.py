@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from macalloc import (
     ChannelConfig,
     approximate_projection,
-    is_feasible_bruteforce,
-    most_violated_finder,
-    project_onto_hyperplane,
+    count_violations,
     rate_split_finder,
     subset_capacity,
 )
+from macalloc.projection import _capped_projection
 from support import (
     batch_feasible,
+    most_violated_finder,
+    project_onto_hyperplane,
     pseudo_nonexpansive_check,
     random_config,
     random_feasible,
@@ -27,6 +28,8 @@ FINDERS = [rate_split_finder, most_violated_finder]
 
 
 class TestHyperplaneProjection:
+    """support.project_onto_hyperplane, the reference for the floored projection."""
+
     def test_symmetric_split(self):
         np.testing.assert_allclose(
             project_onto_hyperplane([1.0, 1.0], {1, 2}, 1.0), [0.5, 0.5]
@@ -59,6 +62,33 @@ class TestHyperplaneProjection:
             project_onto_hyperplane([1.0, 1.0], set(), 1.0)
 
 
+class TestCappedProjection:
+    def test_is_the_hyperplane_projection_unless_floored(self):
+        """Without a coordinate at the zero floor the capped projection is the
+        plain hyperplane projection; with one, it still lands on the hyperplane
+        and only lowers the subset's coordinates."""
+        rng = np.random.default_rng(61)
+        plain = floored = 0
+        for _ in range(400):
+            m = int(rng.integers(1, 9))
+            y = rng.uniform(0.0, 1.0, m)
+            members = sorted(rng.choice(np.arange(1, m + 1), rng.integers(1, m + 1), replace=False).tolist())
+            idx = np.asarray(members) - 1
+            level = float(rng.uniform(0.0, 1.0) * y[idx].sum())
+            out = _capped_projection(y, idx, y[idx], level)
+            reference = project_onto_hyperplane(y, members, level)
+            if (reference >= 0.0).all():
+                np.testing.assert_allclose(out, reference, rtol=0.0, atol=1e-14)
+                plain += 1
+            else:
+                assert (out >= 0.0).all() and (out <= y).all()
+                assert out[idx].sum() == pytest.approx(level, abs=1e-12)
+                outside = np.setdiff1d(np.arange(m), idx)
+                np.testing.assert_array_equal(out[outside], y[outside])
+                floored += 1
+        assert plain >= 50 and floored >= 50
+
+
 class TestApproximateProjection:
     @pytest.mark.parametrize("finder", FINDERS)
     def test_feasible_point_is_fixed(self, finder):
@@ -66,7 +96,6 @@ class TestApproximateProjection:
         result = approximate_projection(TWO_USER, y, finder=finder)
         np.testing.assert_array_equal(result.point, y)
         assert result.hyperplanes_used == ()
-        assert not result.clamped
 
     def test_single_violation_single_projection(self):
         result = approximate_projection(TWO_USER, [0.3, 0.3])
@@ -96,7 +125,6 @@ class TestApproximateProjection:
     def test_clamp_only(self):
         result = approximate_projection(TWO_USER, [-0.1, 0.2])
         np.testing.assert_array_equal(result.point, [0.0, 0.2])
-        assert result.clamped
         assert result.hyperplanes_used == ()
 
     def test_zero_floor_keeps_subsets_single_use(self):
@@ -105,9 +133,9 @@ class TestApproximateProjection:
         # subset still appears exactly once
         result = approximate_projection(TWO_USER, [4.0, 0.21], finder=most_violated_finder)
         assert result.hyperplanes_used == ({1, 2}, {1})
-        assert result.clamped
+        assert result.point[1] == 0.0
         np.testing.assert_allclose(result.point, [0.5 * math.log(2.0), 0.0], atol=1e-12)
-        assert is_feasible_bruteforce(TWO_USER, result.point)
+        assert batch_feasible(TWO_USER, result.point).all()
 
     @pytest.mark.parametrize("finder", FINDERS)
     def test_always_feasible(self, finder):
@@ -116,7 +144,7 @@ class TestApproximateProjection:
             cfg = random_config(rng, int(rng.integers(2, 13)))
             y = rng.uniform(-0.5, 1.5, cfg.num_users)
             result = approximate_projection(cfg, y, finder=finder)
-            assert is_feasible_bruteforce(cfg, result.point)
+            assert batch_feasible(cfg, result.point).all()
             seen = result.hyperplanes_used
             assert len(set(seen)) == len(seen)
 
@@ -142,7 +170,19 @@ class TestApproximateProjection:
     def test_projection_is_feasible_hypothesis(self, coords):
         cfg = ChannelConfig((1.0,) * len(coords), 1.0)
         result = approximate_projection(cfg, np.array(coords))
-        assert is_feasible_bruteforce(cfg, result.point)
+        assert batch_feasible(cfg, result.point).all()
+
+
+class TestNoiseScale:
+    def test_feasible_at_every_noise_scale(self):
+        """Powers and noise scaled together keep the SNRs, so every projection
+        must stay feasible (in nats) and the finder must never repeat itself."""
+        rng = np.random.default_rng(59)
+        for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            for _ in range(200):
+                cfg = random_config(rng, int(rng.integers(2, 11)), lo=0.5 * scale, hi=2.0 * scale, noise=scale)
+                result = approximate_projection(cfg, random_infeasible(rng, cfg))
+                assert batch_feasible(cfg, result.point).all(), (scale, cfg)
 
 
 class TestPseudoNonexpansive:
@@ -168,10 +208,11 @@ class TestPseudoNonexpansive:
 
 
 def test_solver_iterates_stay_feasible_in_batch():
-    """batch_feasible agrees with the scalar brute-force check."""
+    """batch_feasible agrees with the package's violation count on nonnegative points."""
     rng = np.random.default_rng(53)
     cfg = random_config(rng, 5)
     points = rng.uniform(0.0, 0.6, size=(64, 5))
     flags = batch_feasible(cfg, points)
+    assert 0 < flags.sum() < len(points)
     for point, flag in zip(points, flags):
-        assert flag == is_feasible_bruteforce(cfg, point)
+        assert flag == (count_violations(cfg, point) == 0)

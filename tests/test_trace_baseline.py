@@ -1,0 +1,126 @@
+"""Seeded solves checked against a committed baseline of their traces.
+
+``data/trace_baseline.json`` holds the trace of every case in ``CASES``. It is
+written by running this file as a script from the root of a checkout:
+
+    PYTHONPATH=src python tests/test_trace_baseline.py
+
+A change that alters traces on purpose regenerates the file and reports the
+largest change per column. Integer columns, the stop reason and the best
+iteration must match exactly. Float columns must match to RTOL relative, or
+to ATOL where a value is zero, so the test does not hinge on the last bit of
+a libm routine; a flipped decision in the finder moves rates far more.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from macalloc import (
+    ChannelConfig,
+    ConstantStep,
+    DiminishingStep,
+    LinearUtility,
+    SolveSettings,
+    WeightedLogUtility,
+    solve,
+)
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "trace_baseline.json"
+RTOL = 1e-9
+ATOL = 1e-15
+
+SIZES = (2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 30, 40, 50, 60)
+RULES = ("constant", "diminishing", "capped")
+UTILITIES = ("linear", "log")
+OTHER_NOISES = (0.5, 2.0, 3.0)
+
+# Two cases per size; case i cycles through every rule and utility pair every
+# six cases. Even cases run at noise 1, odd ones at another noise with the
+# powers scaled along, so the SNRs stay in [0.5, 2]. Every fifth case stops
+# early on a coarse stall test.
+CASES = [
+    {
+        "seed": 1000 + i,
+        "users": m,
+        "noise": 1.0 if i % 2 == 0 else OTHER_NOISES[i // 2 % 3],
+        "rule": RULES[i % 3],
+        "utility": UTILITIES[i // 3 % 2],
+        "max_iters": min(40, max(6, 120 // m)),
+        "stall": i % 5 == 4,
+    }
+    for i, m in enumerate(m for m in SIZES for _ in range(2))
+]
+
+INT_FIELDS = ("violations_pre", "projections", "best_iter", "stop_reason")
+FLOAT_FIELDS = ("rates", "utilities", "stepsizes", "grad_norms", "best_rates", "best_utility")
+
+
+def run_case(case) -> dict:
+    """Solve one case; returns its trace as JSON-ready lists."""
+    rng = np.random.default_rng(case["seed"])
+    m, noise = case["users"], case["noise"]
+    config = ChannelConfig(tuple(noise * rng.uniform(0.5, 2.0, m)), noise)
+    weights = rng.uniform(0.5, 2.0, m)
+    if case["utility"] == "linear":
+        utility = LinearUtility(weights)
+    else:
+        utility = WeightedLogUtility(weights, epsilon=0.1)
+    rule = {
+        "constant": ConstantStep(0.02),
+        "diminishing": DiminishingStep(0.1),
+        "capped": DiminishingStep(0.1, capped=True),
+    }[case["rule"]]
+    iters = case["max_iters"]
+    if case["stall"]:
+        settings = SolveSettings(max_iters=iters, tol=1e-3, window=3)
+    else:
+        settings = SolveSettings(max_iters=iters, tol=1e-18, window=iters + 1)
+    _, trace = solve(config, utility, rule, settings)
+    return {
+        "rates": trace.rates.tolist(),
+        "utilities": trace.utilities.tolist(),
+        "stepsizes": trace.stepsizes.tolist(),
+        "grad_norms": trace.grad_norms.tolist(),
+        "violations_pre": trace.violations_pre.tolist(),
+        "projections": trace.projections.tolist(),
+        "best_rates": trace.best_rates.tolist(),
+        "best_utility": trace.best_utility,
+        "best_iter": trace.best_iter,
+        "stop_reason": trace.stop_reason,
+    }
+
+
+def _case_id(case) -> str:
+    return f"m{case['users']}-{case['rule']}-{case['utility']}-noise{case['noise']:g}"
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_baseline_covers_the_cases(baseline):
+    assert [entry["case"] for entry in baseline] == CASES
+    assert {c["stop_reason"] for c in (e["trace"] for e in baseline)} == {"max_iters", "stalled"}
+    assert FIXTURE.stat().st_size < 200_000
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[_case_id(c) for c in CASES])
+def test_trace_matches_baseline(baseline, index):
+    expected = baseline[index]["trace"]
+    got = run_case(CASES[index])
+    for field in INT_FIELDS:
+        assert got[field] == expected[field], field
+    for field in FLOAT_FIELDS:
+        np.testing.assert_allclose(got[field], expected[field], rtol=RTOL, atol=ATOL, err_msg=field)
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    entries = [{"case": case, "trace": run_case(case)} for case in CASES]
+    FIXTURE.write_text(json.dumps(entries, separators=(",", ":")) + "\n")
+    print(f"wrote {len(entries)} traces to {FIXTURE}", file=sys.stderr)

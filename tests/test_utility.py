@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ class TestLinearUtility:
         with pytest.raises(ValueError):
             LinearUtility([1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LinearUtility([bad, 1.0])
+
 
 class TestWeightedLogUtility:
     def test_zero_rates(self):
@@ -54,6 +61,11 @@ class TestWeightedLogUtility:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             WeightedLogUtility([1.0], epsilon=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedLogUtility([bad, 1.0])
 
 
 @pytest.fixture(params=["linear", "weighted_log"])
