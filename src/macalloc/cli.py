@@ -142,13 +142,13 @@ def load_problem(path: str) -> Problem:
 def write_trace_csv(trace: IterationTrace, fh) -> None:
     m = trace.rates.shape[1]
     header = ["iter"] + [f"R_{i}" for i in range(1, m + 1)]
-    header += ["utility", "stepsize", "grad_norm", "violations_pre_projection", "projections"]
+    header += ["utility", "stepsize", "grad_norm", "projections"]
     fh.write(",".join(header) + "\n")
     for k in range(len(trace)):
         row = [str(k)]
         row += [_fmt(x) for x in trace.rates[k]]
         row += [_fmt(trace.utilities[k]), _fmt(trace.stepsizes[k]), _fmt(trace.grad_norms[k])]
-        row += [str(int(trace.violations_pre[k])), str(int(trace.projections[k]))]
+        row.append(str(int(trace.projections[k])))
         fh.write(",".join(row) + "\n")
 
 

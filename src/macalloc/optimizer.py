@@ -3,8 +3,9 @@
 The iteration is R <- P~(R + alpha * g) with g a utility subgradient and P~
 the approximate projection. Subgradient steps are not monotone, so the solver
 tracks and returns the best iterate seen. Also here: the stepsize cap under
-which a gradient step can violate at most M constraints, and the greedy
-vertex construction used as a brute-force optimum oracle for linear utilities.
+which a gradient step can violate at most M constraints, the greedy vertex
+construction used as a brute-force optimum oracle for linear utilities, and a
+violation count by enumeration for diagnosing any point at small M.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import ClassVar
 import numpy as np
 
 from .channel import (
-    BRUTE_FORCE_MAX_USERS,
     ChannelConfig,
     awgn_capacity,
     constraint_table,
@@ -84,16 +84,15 @@ class SolveSettings:
 @dataclass
 class IterationTrace:
     """Per-iteration record. Row 0 is the start point; row k is the iterate
-    after k steps together with the stepsize, subgradient norm, pre-projection
-    violation count and hyperplane-projection count of the step that produced
-    it. Violation counts are -1 when M exceeds the enumeration cap.
+    after k steps together with the stepsize, subgradient norm and
+    hyperplane-projection count of the step that produced it. Step k projected
+    ``rates[k-1] + stepsizes[k] * utility.subgradient(rates[k-1])``.
     """
 
     rates: np.ndarray
     utilities: np.ndarray
     stepsizes: np.ndarray
     grad_norms: np.ndarray
-    violations_pre: np.ndarray
     projections: np.ndarray
     best_rates: np.ndarray
     best_utility: float
@@ -160,8 +159,11 @@ def greedy_vertex(config: ChannelConfig, order) -> np.ndarray:
     return rates
 
 
-def count_violations(config: ChannelConfig, point, tol: float = 1e-9) -> int:
-    """Number of sum-rate constraints the point violates (enumeration, small M).
+def count_violations(config: ChannelConfig, point) -> int:
+    """Number of sum-rate constraints the point exceeds by more than 1e-9.
+
+    A diagnostic for any point that enumerates all 2**M - 1 constraints, so
+    it is capped at 20 users; :func:`solve` does not call it.
 
     Raises ValueError on NaN or infinite coordinates: any of them makes the
     sum over all users non-finite, so the coordinates themselves are only
@@ -169,13 +171,13 @@ def count_violations(config: ChannelConfig, point, tol: float = 1e-9) -> int:
     violate the constraints they overflow.
     """
     r = rate_vector(config, point)
-    capacities = constraint_table(config)[1]
+    capacities = constraint_table(config)
     loads = subset_sums(r)
     if not math.isfinite(loads[-1]) and not np.isfinite(r).all():
         raise ValueError("rates must be finite")
     # in place: a second 2**M buffer costs more in page faults than the subtraction
     np.subtract(loads, capacities, out=loads)
-    return int(np.count_nonzero(loads[1:] > tol))
+    return int(np.count_nonzero(loads[1:] > 1e-9))
 
 
 def solve(
@@ -193,16 +195,12 @@ def solve(
     """
     if settings is None:
         settings = SolveSettings()
-    m = config.num_users
-
     cap = math.inf
     if rule.capped:
         b = utility.bound()
         cap = alpha_max(config, b) if b > 0 else math.inf
 
-    countable = m <= BRUTE_FORCE_MAX_USERS
-
-    rates = np.zeros(m)
+    rates = np.zeros(config.num_users)
     value = utility.value(rates)
     best_rates = rates.copy()
     best_value = value
@@ -212,7 +210,6 @@ def solve(
     rows_u = [value]
     rows_a = [0.0]
     rows_g = [0.0]
-    rows_v = [0]
     rows_p = [0]
     best_history = [best_value]
 
@@ -220,9 +217,7 @@ def solve(
     for k in range(settings.max_iters):
         g = utility.subgradient(rates)
         alpha = min(rule.at(k), cap)
-        step_point = rates + alpha * g
-        violations = count_violations(config, step_point) if countable else -1
-        result = approximate_projection(config, step_point, finder=finder)
+        result = approximate_projection(config, rates + alpha * g, finder=finder)
         rates = result.point
         value = utility.value(rates)
         if value > best_value:
@@ -234,7 +229,6 @@ def solve(
         rows_u.append(value)
         rows_a.append(alpha)
         rows_g.append(float(np.linalg.norm(g)))
-        rows_v.append(violations)
         rows_p.append(len(result.hyperplanes_used))
         best_history.append(best_value)
 
@@ -248,7 +242,6 @@ def solve(
         utilities=np.array(rows_u),
         stepsizes=np.array(rows_a),
         grad_norms=np.array(rows_g),
-        violations_pre=np.array(rows_v, dtype=int),
         projections=np.array(rows_p, dtype=int),
         best_rates=best_rates.copy(),
         best_utility=best_value,

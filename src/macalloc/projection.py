@@ -17,15 +17,15 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelConfig, subset_capacity
-from .violations import OVERLAP_TOL, Violated, rate_split_analyze
+from .violations import Violated, rate_split_analyze
 
 # A violation finder maps (config, rates >= 0) to a violated subset or None.
 ViolationFinder = Callable[[ChannelConfig, np.ndarray], "frozenset[int] | None"]
 
 
-def rate_split_finder(config: ChannelConfig, rates, tol: float = OVERLAP_TOL):
+def rate_split_finder(config: ChannelConfig, rates):
     """Finder backed by the rate-splitting recursion (scales in M)."""
-    report = rate_split_analyze(config, rates, tol=tol)
+    report = rate_split_analyze(config, rates)
     return report.subset if isinstance(report, Violated) else None
 
 

@@ -67,8 +67,8 @@ class WeightedLogUtility(Utility):
     """
 
     def __init__(self, weights, epsilon: float = 1e-2):
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         self.weights = _checked_weights(weights)
         self.epsilon = float(epsilon)
 

@@ -87,21 +87,21 @@ class Violated:
 ViolationReport = Feasible | Violated
 
 
-def rate_split_analyze(config: ChannelConfig, rates, tol: float = OVERLAP_TOL) -> ViolationReport:
+def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
     """Classify a rate point by the merging recursion described above.
 
     Deterministic: the most negative elevation wins (ties by smallest original
     index), and the lowest-elevation overlapping adjacent pair merges first.
-    ``tol`` is in units of the noise, so the decisions depend only on the
-    SNRs. Terminates after at most M - 1 merges. Raises ValueError unless the
-    rates are finite and nonnegative.
+    Elevations are compared with a margin of OVERLAP_TOL times the noise, so
+    the decisions depend only on the SNRs. Terminates after at most M - 1
+    merges. Raises ValueError unless the rates are finite and nonnegative.
     """
     r_in = rate_vector(config, rates)
     if not ((r_in >= 0.0) & (r_in < math.inf)).all():
         raise ValueError("rates must be finite and nonnegative")
 
     noise = config.noise
-    tol *= noise
+    tol = OVERLAP_TOL * noise
     p = list(config.powers)
     r = r_in.tolist()
     d = [_elevation(pj, rj, noise) for pj, rj in zip(p, r)]

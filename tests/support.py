@@ -79,17 +79,23 @@ def random_infeasible(rng, config) -> np.ndarray:
     return direction * boundary_scale(config, direction) * rng.uniform(1.02, 2.5)
 
 
+def subset_loads(config, rates) -> np.ndarray:
+    """The rates' sum over each of :func:`nonempty_subsets`, in increasing
+    user order, so designed ties stay exact."""
+    membership, _ = subset_table(config)
+    loads = np.zeros(len(membership))
+    for i, x in enumerate(np.asarray(rates, dtype=float)):
+        loads += membership[:, i] * x
+    return loads
+
+
 def find_most_violated(config, rates, tol=1e-9):
     """Deepest violated constraint as ``(members, slack)``, or None.
 
-    Ties go to the smallest cardinality, then the smallest bitmask. Each load
-    is summed in increasing user order, so designed ties stay exact.
+    Ties go to the smallest cardinality, then the smallest bitmask.
     """
-    membership, capacities = subset_table(config)
-    loads = np.zeros(len(capacities))
-    for i, x in enumerate(np.asarray(rates, dtype=float)):
-        loads += membership[:, i] * x
-    slacks = capacities - loads
+    _, capacities = subset_table(config)
+    slacks = capacities - subset_loads(config, rates)
     worst = float(slacks.min())
     if worst >= -tol:
         return None
@@ -122,6 +128,27 @@ def project_onto_hyperplane(point, members, level: float) -> np.ndarray:
     return y
 
 
+def violation_count(config, rates) -> int:
+    """Number of constraints the point exceeds by more than 1e-9."""
+    _, capacities = subset_table(config)
+    return int(np.count_nonzero(capacities - subset_loads(config, rates) < -1e-9))
+
+
+def pre_projection_points(utility, rates, stepsizes) -> np.ndarray:
+    """The points ``solve`` projected, rebuilt from its trace.
+
+    Row k-1 is step k's gradient point rates[k-1] + stepsizes[k] * g(rates[k-1]),
+    computed as ``solve`` computes it, so it is the same point to the bit.
+    """
+    rates = np.asarray(rates, dtype=float)
+    return np.array([r + a * utility.subgradient(r) for r, a in zip(rates[:-1], stepsizes[1:])])
+
+
+def pre_projection_violations(config, utility, trace) -> list[int]:
+    """Violation count of each step's pre-projection point in a solve trace."""
+    return [violation_count(config, y) for y in pre_projection_points(utility, trace.rates, trace.stepsizes)]
+
+
 def batch_feasible(config, points, tol=1e-9) -> np.ndarray:
     """Vectorized brute-force feasibility for each row of ``points``.
 
@@ -135,16 +162,16 @@ def batch_feasible(config, points, tol=1e-9) -> np.ndarray:
     return ok_nonneg & (min_slack(config, pts) >= -tol)
 
 
-def certify_agreement(config, rates, tol=OVERLAP_TOL) -> bool:
+def certify_agreement(config, rates) -> bool:
     """Do rate splitting and enumeration agree on feasibility of this point?
 
-    Points whose minimum slack lies within +-10*tol of zero are accepted
-    either way (boundary tolerance band).
+    Points whose minimum slack lies within +-10*OVERLAP_TOL of zero are
+    accepted either way (boundary tolerance band).
     """
     worst = float(min_slack(config, rates)[0])
-    if abs(worst) <= 10.0 * tol:
+    if abs(worst) <= 10.0 * OVERLAP_TOL:
         return True
-    report = rate_split_analyze(config, rates, tol=tol)
+    report = rate_split_analyze(config, rates)
     return isinstance(report, Violated) == (worst < 0.0)
 
 

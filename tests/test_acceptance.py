@@ -34,7 +34,14 @@ from macalloc import (
     solve,
     subset_capacity,
 )
-from support import batch_feasible, min_slack, random_config, random_feasible, random_infeasible
+from support import (
+    batch_feasible,
+    min_slack,
+    pre_projection_violations,
+    random_config,
+    random_feasible,
+    random_infeasible,
+)
 
 TWO_USER = ChannelConfig((1.0, 1.0), 1.0)
 PINNED_UTILITY = LinearUtility([2.0, 1.0])
@@ -207,7 +214,7 @@ def test_criterion_6_violation_cap():
         _, trace = solve(
             cfg, u, DiminishingStep(0.1, capped=True), SolveSettings(max_iters=300, tol=1e-18, window=301)
         )
-        cap_ok = cap_ok and int(trace.violations_pre.max()) <= m
+        cap_ok = cap_ok and max(pre_projection_violations(cfg, u, trace)) <= m
 
     hyp_ok = True
     for _ in range(10):

@@ -40,6 +40,8 @@ def test_solver_workload_calls():
 
 
 def test_solve_calls_the_layers_through_the_optimizer_module(monkeypatch):
+    """solve reaches the projection through ``macalloc.optimizer``, where the
+    wrappers go, and never builds or reads the 2**M constraint table."""
     calls = {"count_violations": 0, "approximate_projection": 0, "constraint_table": 0}
     for name in calls:
         original = getattr(optimizer, name)
@@ -53,16 +55,17 @@ def test_solve_calls_the_layers_through_the_optimizer_module(monkeypatch):
         CONFIG, macalloc.LinearUtility([1.0, 1.0, 1.0]), macalloc.DiminishingStep(0.1),
         macalloc.SolveSettings(max_iters=3, window=4),
     )
-    assert all(n >= 1 for n in calls.values()), calls
+    assert calls == {"count_violations": 0, "approximate_projection": 3, "constraint_table": 0}
 
 
 def test_constraint_table_is_cached_arrays():
     config = macalloc.ChannelConfig((0.7, 1.3), 1.1)
     optimizer.constraint_table(config)
     misses = optimizer.constraint_table.cache_info().misses
-    arrays = optimizer.constraint_table(config)
+    table = optimizer.constraint_table(config)
     assert optimizer.constraint_table.cache_info().misses == misses
-    assert sum(a.nbytes for a in arrays) > 0
+    # perfbench sizes the table by summing nbytes over what it iterates
+    assert sum(getattr(a, "nbytes", 0) for a in table) == table.nbytes > 0
 
 
 def test_check_workload_calls():

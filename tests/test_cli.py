@@ -47,8 +47,7 @@ class TestSolveCommand:
 
         header, last = _last_csv_row(trace)
         assert header == [
-            "iter", "R_1", "R_2", "utility", "stepsize", "grad_norm",
-            "violations_pre_projection", "projections",
+            "iter", "R_1", "R_2", "utility", "stepsize", "grad_norm", "projections",
         ]
         assert float(last[header.index("utility")]) == pytest.approx(0.89588, abs=1e-3)
 

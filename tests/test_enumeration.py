@@ -94,11 +94,11 @@ def test_enumeration_matches_itertools():
 
 
 class TestMemoryAtCap:
-    def test_table_is_two_vectors_at_m20(self):
+    def test_table_is_one_vector_at_m20(self):
         cfg = ChannelConfig(tuple(np.linspace(0.5, 2.0, 20)), 1.0)
-        arrays = constraint_table(cfg)
-        assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in arrays)
-        assert sum(a.nbytes for a in arrays) <= 2 * 2**20 * 8
+        capacities = constraint_table(cfg)
+        assert isinstance(capacities, np.ndarray) and not capacities.flags.writeable
+        assert capacities.nbytes <= 2**20 * 8
 
     def test_first_count_peak_below_64mb_at_m20(self):
         cfg = ChannelConfig(tuple(np.linspace(0.6, 2.1, 20)), 1.3)

@@ -10,6 +10,11 @@ largest change per column. Integer columns, the stop reason and the best
 iteration must match exactly. Float columns must match to RTOL relative, or
 to ATOL where a value is zero, so the test does not hinge on the last bit of
 a libm routine; a flipped decision in the finder moves rates far more.
+
+The ``violations_pre`` column is the number of constraints each step's
+pre-projection point violated, which ``solve`` does not record: it is
+rebuilt from the trace and checked by enumeration up to M = 20, and reads -1
+above.
 """
 
 import json
@@ -26,8 +31,10 @@ from macalloc import (
     LinearUtility,
     SolveSettings,
     WeightedLogUtility,
+    count_violations,
     solve,
 )
+from support import pre_projection_points, violation_count
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "trace_baseline.json"
 RTOL = 1e-9
@@ -55,12 +62,12 @@ CASES = [
     for i, m in enumerate(m for m in SIZES for _ in range(2))
 ]
 
-INT_FIELDS = ("violations_pre", "projections", "best_iter", "stop_reason")
+INT_FIELDS = ("projections", "best_iter", "stop_reason")
 FLOAT_FIELDS = ("rates", "utilities", "stepsizes", "grad_norms", "best_rates", "best_utility")
 
 
-def run_case(case) -> dict:
-    """Solve one case; returns its trace as JSON-ready lists."""
+def build_case(case):
+    """The case's config, utility, stepsize rule and settings."""
     rng = np.random.default_rng(case["seed"])
     m, noise = case["users"], case["noise"]
     config = ChannelConfig(tuple(noise * rng.uniform(0.5, 2.0, m)), noise)
@@ -79,19 +86,33 @@ def run_case(case) -> dict:
         settings = SolveSettings(max_iters=iters, tol=1e-3, window=3)
     else:
         settings = SolveSettings(max_iters=iters, tol=1e-18, window=iters + 1)
-    _, trace = solve(config, utility, rule, settings)
+    return config, utility, rule, settings
+
+
+def run_case(case) -> dict:
+    """Solve one case; returns its trace as JSON-ready lists."""
+    _, trace = solve(*build_case(case))
     return {
         "rates": trace.rates.tolist(),
         "utilities": trace.utilities.tolist(),
         "stepsizes": trace.stepsizes.tolist(),
         "grad_norms": trace.grad_norms.tolist(),
-        "violations_pre": trace.violations_pre.tolist(),
         "projections": trace.projections.tolist(),
         "best_rates": trace.best_rates.tolist(),
         "best_utility": trace.best_utility,
         "best_iter": trace.best_iter,
         "stop_reason": trace.stop_reason,
     }
+
+
+def rebuilt_violations(config, utility, rates, stepsizes) -> list[int]:
+    """Pre-projection violation count of each row, 0 at the start and -1 past
+    M = 20: support's enumeration up to M = 15, the package's above."""
+    m = config.num_users
+    if m > 20:
+        return [0] + [-1] * (len(rates) - 1)
+    count = violation_count if m <= 15 else count_violations
+    return [0] + [count(config, y) for y in pre_projection_points(utility, rates, stepsizes)]
 
 
 def _case_id(case) -> str:
@@ -119,8 +140,26 @@ def test_trace_matches_baseline(baseline, index):
         np.testing.assert_allclose(got[field], expected[field], rtol=RTOL, atol=ATOL, err_msg=field)
 
 
+COUNTED = [i for i, c in enumerate(CASES) if c["users"] <= 20]
+
+
+@pytest.mark.parametrize("index", COUNTED, ids=[_case_id(CASES[i]) for i in COUNTED])
+def test_rebuilt_violation_counts_match_baseline(baseline, index):
+    expected = baseline[index]["trace"]
+    config, utility, _, _ = build_case(CASES[index])
+    counts = rebuilt_violations(config, utility, expected["rates"], expected["stepsizes"])
+    assert counts == expected["violations_pre"]
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    entries = [{"case": case, "trace": run_case(case)} for case in CASES]
+    entries = []
+    for case in CASES:
+        trace = run_case(case)
+        config, utility, _, _ = build_case(case)
+        counts = rebuilt_violations(config, utility, trace["rates"], trace["stepsizes"])
+        # the fixture's column order, violations_pre before projections
+        trace = dict(list(trace.items())[:4] + [("violations_pre", counts)] + list(trace.items())[4:])
+        entries.append({"case": case, "trace": trace})
     FIXTURE.write_text(json.dumps(entries, separators=(",", ":")) + "\n")
     print(f"wrote {len(entries)} traces to {FIXTURE}", file=sys.stderr)

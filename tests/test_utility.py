@@ -62,6 +62,12 @@ class TestWeightedLogUtility:
         with pytest.raises(ValueError):
             WeightedLogUtility([1.0], epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, bad):
+        """An infinite offset would make every subgradient 0 and the value inf."""
+        with pytest.raises(ValueError, match="finite"):
+            WeightedLogUtility([1.0, 1.0], epsilon=bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="finite"):
