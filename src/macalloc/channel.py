@@ -65,9 +65,10 @@ def subset_members(mask: int) -> frozenset[int]:
 
 def _checked_members(config: ChannelConfig, members: Iterable[int]) -> frozenset[int]:
     s = frozenset(members)
+    m = config.num_users
     for i in s:
-        if not 1 <= i <= config.num_users:
-            raise ValueError(f"user index {i} out of range 1..{config.num_users}")
+        if not 1 <= i <= m:
+            raise ValueError(f"user index {i} out of range 1..{m}")
     return s
 
 

@@ -228,8 +228,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_rate_values(argv: list[str]) -> list[str]:
+    """Join each number that follows ``--rate`` to it, as ``--rate=VALUE``.
+
+    argparse takes a token that starts with "-" for an option unless it looks
+    like a plain decimal, so ``--rate -inf`` would end in a usage error
+    instead of reaching the rate check.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--rate" and _is_float(token):
+            out[-1] = f"--rate={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_rate_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ProblemFileError as exc:

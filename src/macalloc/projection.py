@@ -17,16 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelConfig, subset_capacity
-from .violations import Violated, rate_split_analyze
+from .violations import rate_split_finder
 
 # A violation finder maps (config, rates >= 0) to a violated subset or None.
 ViolationFinder = Callable[[ChannelConfig, np.ndarray], "frozenset[int] | None"]
-
-
-def rate_split_finder(config: ChannelConfig, rates):
-    """Finder backed by the rate-splitting recursion (scales in M)."""
-    report = rate_split_analyze(config, rates)
-    return report.subset if isinstance(report, Violated) else None
 
 
 @dataclass(frozen=True)
@@ -35,11 +29,12 @@ class ProjectionResult:
     hyperplanes_used: tuple[frozenset[int], ...]
 
 
-def _capped_projection(point: np.ndarray, idx: np.ndarray, vals: np.ndarray, level: float) -> np.ndarray:
-    """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}.
+def _capped_projection(y: np.ndarray, idx: list[int], vals: list[float], level: float) -> None:
+    """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in place.
 
-    ``vals`` holds the point's coordinates on S (index array ``idx``) and must
-    sum to more than ``level``.
+    ``vals`` holds the point's coordinates on S (0-based positions ``idx``),
+    as floats, and must sum to more than ``level``; only those positions of
+    ``y`` are written.
 
     Uniform shift with a zero floor: x_i = max(y_i - theta, 0) on S with the
     smallest theta >= 0 that brings the sum down to level. When no coordinate
@@ -48,15 +43,15 @@ def _capped_projection(point: np.ndarray, idx: np.ndarray, vals: np.ndarray, lev
     guarantees a constraint never re-violates once projected, so each subset
     is used at most once.
     """
-    desc = np.sort(vals)[::-1]
-    csum = np.cumsum(desc)
-    counts = np.arange(1, len(desc) + 1)
-    theta_cand = (csum - level) / counts
-    rho = int(np.nonzero(desc - theta_cand > 0.0)[0][-1])
-    theta = theta_cand[rho]
-    out = point.copy()
-    out[idx] = np.maximum(vals - theta, 0.0)
-    return out
+    csum = 0.0
+    for k, v in enumerate(sorted(vals, reverse=True), 1):
+        csum += v
+        candidate = (csum - level) / k
+        if v - candidate > 0.0:
+            theta = candidate
+    for i, v in zip(idx, vals):
+        x = v - theta
+        y[i] = x if x > 0.0 else 0.0
 
 
 def approximate_projection(
@@ -85,11 +80,11 @@ def approximate_projection(
             break
         if subset in used:
             raise RuntimeError(f"finder named subset {sorted(subset)} twice")
-        idx = np.fromiter((i - 1 for i in sorted(subset)), dtype=int)
-        vals = y[idx]
+        idx = [i - 1 for i in subset]
+        vals = [y.item(i) for i in idx]
         level = subset_capacity(config, subset)
-        if vals.sum() <= level:
+        if sum(vals) <= level:
             raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
-        y = _capped_projection(y, idx, vals, level)
+        _capped_projection(y, idx, vals, level)
         used[subset] = None
     return ProjectionResult(y, tuple(used))

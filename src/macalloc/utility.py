@@ -23,8 +23,8 @@ def _checked_weights(weights) -> np.ndarray:
 
 def _checked_rates(rates) -> np.ndarray:
     r = np.asarray(rates, dtype=float)
-    if (r < 0).any():
-        raise ValueError("rates must be nonnegative")
+    if not ((r >= 0) & (r < np.inf)).all():
+        raise ValueError("rates must be finite and nonnegative")
     return r
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .channel import ChannelConfig, constraint_slack, rate_vector
 
@@ -96,6 +97,25 @@ def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
     the decisions depend only on the SNRs. Terminates after at most M - 1
     merges. Raises ValueError unless the rates are finite and nonnegative.
     """
+    found = _split(config, rates)
+    if isinstance(found, Feasible):
+        return found
+    return Violated(found, constraint_slack(config, rates, found))
+
+
+def rate_split_finder(config: ChannelConfig, rates) -> frozenset[int] | None:
+    """Violation finder backed by the recursion (scales in M): the subset
+    :func:`rate_split_analyze` reports, or None where it certifies feasibility."""
+    found = _split(config, rates)
+    return None if isinstance(found, Feasible) else found
+
+
+def _split(config: ChannelConfig, rates) -> frozenset[int] | Feasible:
+    """The recursion behind both entry points: a violated subset or the certificate.
+
+    The finder needs no slack, so none is computed here, and the per-user
+    member sets are built only when no single user is over its capacity.
+    """
     r_in = rate_vector(config, rates)
     if not ((r_in >= 0.0) & (r_in < math.inf)).all():
         raise ValueError("rates must be finite and nonnegative")
@@ -104,13 +124,12 @@ def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
     tol = OVERLAP_TOL * noise
     p = list(config.powers)
     r = r_in.tolist()
-    d = [_elevation(pj, rj, noise) for pj, rj in zip(p, r)]
-    members = [frozenset({i + 1}) for i in range(len(p))]
+    d = list(map(_elevation, p, r, repeat(noise)))
+    lowest = min(d)
+    if lowest < -tol:
+        return frozenset({d.index(lowest) + 1})
+    members = [frozenset({i}) for i in range(1, len(p) + 1)]
     low = list(range(1, len(p) + 1))  # smallest original index, for tie-breaks
-
-    worst = min(range(len(d)), key=d.__getitem__)
-    if d[worst] < -tol:
-        return Violated(members[worst], constraint_slack(config, r_in, members[worst]))
 
     while True:
         order = sorted(range(len(p)), key=lambda j: (d[j], low[j]))
@@ -127,5 +146,5 @@ def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
         low[a] = min(low[a], low[b])
         d[a] = _elevation(p[a], r[a], noise)
         if d[a] < -tol:
-            return Violated(members[a], constraint_slack(config, r_in, members[a]))
+            return members[a]
         del p[b], r[b], d[b], members[b], low[b]

@@ -4,9 +4,9 @@ and the oracles that check the package against them.
 The constraint enumeration here is the tests' own (itertools, Python sums
 and numpy's ``log1p``); it does not read the package's constraint table, so
 the oracles built on it check that table instead of repeating it. The
-most-violated finder and the plain hyperplane projection are the references
-that the package's rate-splitting finder and floored projection are checked
-against.
+most-violated finder, the plain hyperplane projection and the numpy floored
+projection are the references that the package's rate-splitting finder and
+floored projection are checked against.
 """
 
 import itertools
@@ -126,6 +126,25 @@ def project_onto_hyperplane(point, members, level: float) -> np.ndarray:
         raise ValueError(f"subset {s} out of range for a {len(y)}-vector")
     y[idx] -= (y[idx].sum() - level) / len(idx)
     return y
+
+
+def capped_projection(point, idx, vals, level: float) -> np.ndarray:
+    """Projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in numpy.
+
+    ``vals`` is ``point[idx]`` and sums to more than ``level``. Returns a copy
+    with x_i = max(y_i - theta, 0) on S, theta taken from the descending sort's
+    running sums. The reference the package's in-place Python version must
+    match bit for bit.
+    """
+    desc = np.sort(vals)[::-1]
+    csum = np.cumsum(desc)
+    counts = np.arange(1, len(desc) + 1)
+    theta_cand = (csum - level) / counts
+    rho = int(np.nonzero(desc - theta_cand > 0.0)[0][-1])
+    theta = theta_cand[rho]
+    out = np.array(point, dtype=float)
+    out[idx] = np.maximum(vals - theta, 0.0)
+    return out
 
 
 def violation_count(config, rates) -> int:

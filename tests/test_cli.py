@@ -129,6 +129,14 @@ class TestCheckCommand:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("bad", ["-inf", "-0.1", "nan"])
+    def test_value_after_separate_flag_reaches_rate_check(self, pinned, capsys, bad):
+        # argparse alone reads "-inf" as an option and exits with its usage error
+        assert main(["check", pinned, "--rate", bad, "--rate", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rates must be finite and nonnegative\n"
+
 
 class TestRegionCommand:
     def test_two_user_rows(self, pinned, capsys):

@@ -15,6 +15,7 @@ from macalloc import (
 from macalloc.projection import _capped_projection
 from support import (
     batch_feasible,
+    capped_projection,
     most_violated_finder,
     project_onto_hyperplane,
     pseudo_nonexpansive_check,
@@ -66,7 +67,8 @@ class TestCappedProjection:
     def test_is_the_hyperplane_projection_unless_floored(self):
         """Without a coordinate at the zero floor the capped projection is the
         plain hyperplane projection; with one, it still lands on the hyperplane
-        and only lowers the subset's coordinates."""
+        and only lowers the subset's coordinates. Either way it is support's
+        numpy version to the bit, signs of zeros included."""
         rng = np.random.default_rng(61)
         plain = floored = 0
         for _ in range(400):
@@ -75,7 +77,11 @@ class TestCappedProjection:
             members = sorted(rng.choice(np.arange(1, m + 1), rng.integers(1, m + 1), replace=False).tolist())
             idx = np.asarray(members) - 1
             level = float(rng.uniform(0.0, 1.0) * y[idx].sum())
-            out = _capped_projection(y, idx, y[idx], level)
+            out = y.copy()
+            _capped_projection(out, idx.tolist(), y[idx].tolist(), level)
+            numpy_version = capped_projection(y, idx, y[idx], level)
+            np.testing.assert_array_equal(out, numpy_version)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(numpy_version))
             reference = project_onto_hyperplane(y, members, level)
             if (reference >= 0.0).all():
                 np.testing.assert_allclose(out, reference, rtol=0.0, atol=1e-14)

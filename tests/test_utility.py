@@ -37,6 +37,14 @@ class TestLinearUtility:
             LinearUtility([1.0, -1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        u = LinearUtility([1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            u.value([bad, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            u.subgradient([bad, 0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="finite"):
             LinearUtility([bad, 1.0])
@@ -72,6 +80,14 @@ class TestWeightedLogUtility:
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="finite"):
             WeightedLogUtility([bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        u = WeightedLogUtility([1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            u.value([bad, 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            u.subgradient([bad, 0.1])
 
 
 @pytest.fixture(params=["linear", "weighted_log"])

@@ -15,6 +15,7 @@ from macalloc import (
     elevation,
     greedy_vertex,
     rate_split_analyze,
+    rate_split_finder,
     subset_capacity,
 )
 from support import (
@@ -243,6 +244,39 @@ class TestRateSplitSoundness:
             most = find_most_violated(cfg, point)
             assert most is not None
             assert most[1] <= report.slack + 1e-12
+
+    def test_finder_names_the_reported_subset(self):
+        """The finder and the report leave the shared recursion by different
+        exits, so the finder must return exactly the report's subset, or None
+        where the report certifies feasibility. Noise from 1e-9 to 1e9 with
+        the SNRs fixed, M up to 60, and the all-merges cascade."""
+        rng = np.random.default_rng(71)
+        cases = []
+        for m in (2, 10, 60, 300):
+            cfg = ChannelConfig((1.0,) * m, 1.0)
+            full = subset_capacity(cfg, range(1, m + 1))
+            cases.append((cfg, np.full(m, full / m * (1.0 + 1e-7))))
+        for scale in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            for _ in range(40):
+                m = int(rng.integers(1, 61))
+                cfg = ChannelConfig(tuple(scale * rng.uniform(0.5, 2.0, m)), scale)
+                t = rng.uniform()
+                point = t * greedy_vertex(cfg, rng.permutation(m) + 1)
+                point += (1.0 - t) * greedy_vertex(cfg, rng.permutation(m) + 1)
+                point *= rng.uniform(0.8, 1.2)
+                point[rng.uniform(size=m) < 0.2] = 0.0
+                cases.append((cfg, point))
+        exits = {"feasible": 0, "single": 0, "merged": 0}
+        for cfg, point in cases:
+            report = rate_split_analyze(cfg, point)
+            found = rate_split_finder(cfg, point)
+            if isinstance(report, Feasible):
+                assert found is None
+                exits["feasible"] += 1
+            else:
+                assert type(found) is frozenset and found == report.subset
+                exits["single" if len(found) == 1 else "merged"] += 1
+        assert min(exits.values()) >= 20, exits
 
     def test_agreement_with_enumeration(self):
         rng = np.random.default_rng(31)
