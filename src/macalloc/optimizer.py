@@ -192,6 +192,10 @@ def solve(
     Returns the best iterate by utility value and the full trace. Stops at
     max_iters or once the best value improves by less than tol over a window
     of iterations.
+
+    Consecutive iterates are close, so each projection first re-tests the
+    subsets the previous one projected onto (``hint=``); the finder then only
+    has to find what is left and certify the result.
     """
     if settings is None:
         settings = SolveSettings()
@@ -214,10 +218,12 @@ def solve(
     best_history = [best_value]
 
     stop_reason = "max_iters"
+    hint: tuple[frozenset[int], ...] = ()
     for k in range(settings.max_iters):
         g = utility.subgradient(rates)
         alpha = min(rule.at(k), cap)
-        result = approximate_projection(config, rates + alpha * g, finder=finder)
+        result = approximate_projection(config, rates + alpha * g, finder=finder, hint=hint)
+        hint = result.hyperplanes_used
         rates = result.point
         value = utility.value(rates)
         if value > best_value:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +29,16 @@ class ProjectionResult:
     hyperplanes_used: tuple[frozenset[int], ...]
 
 
+# Largest ratio of a subset's top coordinate to its level at which the plain
+# shift x = y - theta is used; theta ~ top then rounds by at most about 1e-12
+# of the level. Above it that rounding swamps the level (from 1e16 times it
+# the level is lost entirely), so the shift is taken from the gaps below top.
+# Below it both forms are accurate but round differently, and the rate-split
+# finder breaks ties between users at their capacities by such differences,
+# so ordinary steps keep the plain shift and the results they always had.
+_PLAIN_SHIFT_RATIO = 1e4
+
+
 def _capped_projection(y: np.ndarray, idx: list[int], vals: list[float], level: float) -> None:
     """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in place.
 
@@ -42,28 +52,79 @@ def _capped_projection(y: np.ndarray, idx: list[int], vals: list[float], level: 
     floor inside the projection (rather than clamping afterwards) is what
     guarantees a constraint never re-violates once projected, so each subset
     is used at most once.
+
+    Past ``_PLAIN_SHIFT_RATIO`` the arithmetic runs on the gaps below the
+    largest coordinate, top - y_i, and on t = top - theta, never on theta
+    itself. A kept gap is below the level, so it is exact (Sterbenz) there,
+    and the result's rounding error is relative to the level, not to the
+    coordinates, at any finite magnitude. The kept coordinates are a prefix
+    of the descending order, and the largest is always kept.
     """
-    csum = 0.0
-    for k, v in enumerate(sorted(vals, reverse=True), 1):
-        csum += v
-        candidate = (csum - level) / k
-        if v - candidate > 0.0:
-            theta = candidate
+    desc = sorted(vals, reverse=True)
+    top = desc[0]
+    if top <= _PLAIN_SHIFT_RATIO * level:
+        csum = 0.0
+        for k, v in enumerate(desc, 1):
+            csum += v
+            candidate = (csum - level) / k
+            if v - candidate > 0.0:
+                theta = candidate
+        for i, v in zip(idx, vals):
+            x = v - theta
+            y[i] = x if x > 0.0 else 0.0
+        return
+    t = level  # top - theta with only the largest coordinate kept
+    shift = 0.0  # sum of the kept coordinates' gaps
+    kept = 1
+    for v in desc[1:]:
+        gap = top - v
+        candidate_shift = shift + gap
+        candidate = (level + candidate_shift) / (kept + 1)
+        if candidate <= gap:
+            break
+        shift = candidate_shift
+        kept += 1
+        t = candidate
     for i, v in zip(idx, vals):
-        x = v - theta
+        x = t - (top - v)
         y[i] = x if x > 0.0 else 0.0
 
 
+def _project_if_violated(config: ChannelConfig, y: np.ndarray, subset: frozenset[int]) -> bool:
+    """Project ``y`` in place onto the subset's constraint if its sum there
+    exceeds the capacity; returns whether it did. ValueError on a user index
+    outside 1..M."""
+    level = subset_capacity(config, subset)
+    idx = [i - 1 for i in subset]
+    vals = [y.item(i) for i in idx]
+    if sum(vals) <= level:
+        return False
+    _capped_projection(y, idx, vals, level)
+    return True
+
+
 def approximate_projection(
-    config: ChannelConfig, point, finder: ViolationFinder = rate_split_finder
+    config: ChannelConfig,
+    point,
+    finder: ViolationFinder = rate_split_finder,
+    hint: Iterable[Iterable[int]] = (),
 ) -> ProjectionResult:
     """Clamp negatives, then project onto violated constraints until none remain.
 
+    ``hint`` lists subsets to re-test first, in order: each one the point
+    exceeds (by its coordinate sum against :func:`subset_capacity`, without a
+    tolerance) is projected onto, and the rest are skipped. Then the finder is
+    asked for violations until it returns None, so the result is certified
+    feasible by the finder whatever the hint held. :func:`solve` passes the
+    previous step's ``hyperplanes_used``.
+
     Every step only decreases coordinates, so a constraint stays satisfied
     once handled and each subset is used at most once. A finder that names a
-    subset twice, or one the current point satisfies, would loop forever, so
-    either raises RuntimeError; the loop thus ends within 2**M - 1 steps.
-    Raises ValueError on NaN or infinite coordinates.
+    subset twice (hinted ones included), or one the current point satisfies,
+    would loop forever, so either raises RuntimeError; the loop thus ends
+    within 2**M - 1 steps. Every finite point gets a feasible result, however
+    large its coordinates. Raises ValueError on NaN or infinite coordinates
+    and on a hinted user index outside 1..M.
     """
     y = np.array(point, dtype=float)
     if y.shape != (config.num_users,):
@@ -74,17 +135,16 @@ def approximate_projection(
     np.maximum(y, 0.0, out=y)
 
     used: dict[frozenset[int], None] = {}  # insertion-ordered, O(1) membership
+    for subset in map(frozenset, hint):
+        if subset not in used and _project_if_violated(config, y, subset):
+            used[subset] = None
     while True:
         subset = finder(config, y)
         if subset is None:
             break
         if subset in used:
             raise RuntimeError(f"finder named subset {sorted(subset)} twice")
-        idx = [i - 1 for i in subset]
-        vals = [y.item(i) for i in idx]
-        level = subset_capacity(config, subset)
-        if sum(vals) <= level:
+        if not _project_if_violated(config, y, subset):
             raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
-        _capped_projection(y, idx, vals, level)
         used[subset] = None
     return ProjectionResult(y, tuple(used))

@@ -10,6 +10,7 @@ floored projection are checked against.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -145,6 +146,20 @@ def capped_projection(point, idx, vals, level: float) -> np.ndarray:
     out = np.array(point, dtype=float)
     out[idx] = np.maximum(vals - theta, 0.0)
     return out
+
+
+def exact_capped_projection(vals, level: float) -> list[Fraction]:
+    """The floored projection of ``vals`` onto {sum x <= level, x >= 0} in
+    exact rational arithmetic: the reference for rounding at any magnitude."""
+    v = [Fraction(x) for x in vals]
+    bound = Fraction(level)
+    csum = Fraction(0)
+    for k, d in enumerate(sorted(v, reverse=True), 1):
+        csum += d
+        candidate = (csum - bound) / k
+        if d > candidate:
+            theta = candidate
+    return [max(x - theta, Fraction(0)) for x in v]
 
 
 def violation_count(config, rates) -> int:

@@ -81,6 +81,32 @@ def test_solve_calls_the_layers_through_the_optimizer_module(monkeypatch):
     assert calls == {"count_violations": 0, "approximate_projection": 3, "constraint_table": 0}
 
 
+def test_solve_hints_each_projection_with_the_last_hyperplanes(monkeypatch):
+    """perfbench's projection wrapper forwards keyword arguments, so ``hint=``
+    must reach ``approximate_projection`` as one: once per step, holding the
+    previous step's hyperplanes, empty on the first."""
+    calls = []
+    original = optimizer.approximate_projection
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(optimizer, "approximate_projection", recording)
+    _, trace = macalloc.solve(
+        CONFIG, macalloc.WeightedLogUtility(np.ones(3), epsilon=1e-2), macalloc.DiminishingStep(0.1),
+        macalloc.SolveSettings(max_iters=6, window=7),
+    )
+    assert len(calls) == trace.iterations == 6
+    previous = ()
+    for args, kwargs, result in calls:
+        assert len(args) == 2 and set(kwargs) == {"finder", "hint"}
+        assert kwargs["hint"] == previous
+        previous = result.hyperplanes_used
+    assert sum(len(kwargs["hint"]) for _, kwargs, _ in calls) > 0
+
+
 def test_constraint_table_is_cached_arrays():
     config = macalloc.ChannelConfig((0.7, 1.3), 1.1)
     optimizer.constraint_table(config)

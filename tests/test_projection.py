@@ -16,6 +16,7 @@ from macalloc.projection import _capped_projection
 from support import (
     batch_feasible,
     capped_projection,
+    exact_capped_projection,
     most_violated_finder,
     project_onto_hyperplane,
     pseudo_nonexpansive_check,
@@ -93,6 +94,26 @@ class TestCappedProjection:
                 np.testing.assert_array_equal(out[outside], y[outside])
                 floored += 1
         assert plain >= 50 and floored >= 50
+
+    def test_matches_exact_arithmetic_at_any_magnitude(self):
+        """With the subset's top coordinate from 1 to 1e300 times the level,
+        every coordinate is the exact rational projection's to 1e-11 of the
+        level: the level is never rounded away."""
+        rng = np.random.default_rng(71)
+        for n in range(400):
+            m = int(rng.integers(1, 9))
+            level = float(rng.uniform(0.01, 2.0))
+            top = level * 10.0 ** rng.uniform(0.0, 300.0 if n % 2 else 6.0)
+            near = top - level * rng.uniform(0.0, 2.0, m)
+            far = top * rng.uniform(0.0, 1.0, m)
+            vals = np.maximum(np.where(rng.random(m) < 0.6, near, far), 0.0)
+            vals[0] = top
+            if not vals.sum() > level:
+                continue
+            out = vals.copy()
+            _capped_projection(out, list(range(m)), vals.tolist(), level)
+            exact = exact_capped_projection(vals.tolist(), level)
+            assert max(abs(x - float(e)) for x, e in zip(out, exact)) <= 1e-11 * level, (vals, level)
 
 
 class TestApproximateProjection:
@@ -177,6 +198,86 @@ class TestApproximateProjection:
         cfg = ChannelConfig((1.0,) * len(coords), 1.0)
         result = approximate_projection(cfg, np.array(coords))
         assert batch_feasible(cfg, result.point).all()
+
+
+class TestHugeCoordinates:
+    """Every finite point gets a feasible result, however far its coordinates
+    sit above the capacities; the subset's level is not rounded away."""
+
+    @pytest.mark.parametrize("hint", [(), ({1},)], ids=["no-hint", "hint"])
+    @pytest.mark.parametrize("x", [1e14, 1e15, 1e16, 1e300])
+    @pytest.mark.parametrize("power", [1.0, 1e-6])
+    def test_projection_is_feasible(self, power, x, hint):
+        cfg = ChannelConfig((power, power), 1.0)
+        for point in ([x, 0.0], [x, x]):
+            result = approximate_projection(cfg, point, hint=hint)
+            assert batch_feasible(cfg, result.point).all(), point
+            assert result.hyperplanes_used[0] == {1}
+            if point[1] == 0.0:
+                np.testing.assert_allclose(result.point, [subset_capacity(cfg, {1}), 0.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("power, x", [(1e-6, 300.0), (1e-6, 1e4), (1.0, 1e8)])
+    def test_moderate_coordinates_land_on_the_capacity(self, power, x):
+        # rounding at the coordinate's magnitude once left user 1 above the
+        # finder's tolerance: 300 nats against a capacity of 5e-7 was enough
+        cfg = ChannelConfig((power, power), 1.0)
+        result = approximate_projection(cfg, [x, 0.0])
+        assert result.hyperplanes_used == ({1},)
+        np.testing.assert_allclose(result.point, [subset_capacity(cfg, {1}), 0.0], rtol=1e-15)
+
+
+class TestHint:
+    def test_satisfied_hint_is_skipped(self):
+        # {1} and {2} hold at [0.3, 0.3]; only the pair is violated
+        result = approximate_projection(TWO_USER, [0.3, 0.3], hint=({1}, {2}))
+        assert result.hyperplanes_used == ({1, 2},)
+        plain = approximate_projection(TWO_USER, [0.3, 0.3])
+        assert result.point.tobytes() == plain.point.tobytes()
+
+    def test_violated_hints_go_first_in_order(self):
+        seen = []
+
+        def recording(config, rates):
+            seen.append(rates.copy())
+            return rate_split_finder(config, rates)
+
+        y = np.array([4.0, 0.21])
+        for hint in (({1, 2}, {1}), ({1}, {1, 2})):
+            seen.clear()
+            result = approximate_projection(TWO_USER, y, finder=recording, hint=hint)
+            assert result.hyperplanes_used[:2] == hint
+            expected = y
+            for subset in hint:
+                idx = np.array(sorted(subset)) - 1
+                expected = capped_projection(expected, idx, expected[idx], subset_capacity(TWO_USER, subset))
+            np.testing.assert_array_equal(seen[0], expected)
+            assert batch_feasible(TWO_USER, result.point).all()
+
+    def test_repeated_hint_projects_once(self):
+        result = approximate_projection(TWO_USER, [4.0, 0.0], hint=({1}, {1}, frozenset({1})))
+        assert result.hyperplanes_used == ({1},)
+
+    def test_finder_naming_a_hinted_subset_raises(self):
+        def always_user_1(config, rates):
+            return frozenset({1})
+
+        with pytest.raises(RuntimeError, match="twice"):
+            approximate_projection(TWO_USER, [0.5, 0.0], finder=always_user_1, hint=({1},))
+
+    @pytest.mark.parametrize("user", [0, 3])
+    def test_out_of_range_hint_rejected(self, user):
+        with pytest.raises(ValueError, match="out of range"):
+            approximate_projection(TWO_USER, [0.5, 0.5], hint=({1, user},))
+
+    def test_empty_hint_is_no_hint(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            cfg = random_config(rng, int(rng.integers(2, 13)))
+            y = rng.uniform(-0.5, 1.5, cfg.num_users)
+            a = approximate_projection(cfg, y)
+            b = approximate_projection(cfg, y, hint=())
+            assert a.point.tobytes() == b.point.tobytes()
+            assert a.hyperplanes_used == b.hyperplanes_used
 
 
 class TestNoiseScale:
