@@ -162,7 +162,8 @@ def cmd_solve(args) -> int:
     print(
         f"utility={_fmt(trace.best_utility)} "
         f"rates={','.join(_fmt(x) for x in shown)} "
-        f"iterations={trace.iterations} units={units}"
+        f"iterations={trace.iterations} units={units} "
+        f"stop_reason={trace.stop_reason} best_iter={trace.best_iter}"
     )
     return EXIT_OK
 

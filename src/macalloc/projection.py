@@ -39,7 +39,7 @@ class ProjectionResult:
 _PLAIN_SHIFT_RATIO = 1e4
 
 
-def _capped_projection(y: np.ndarray, idx: list[int], vals: list[float], level: float) -> None:
+def _capped_projection(y: list[float], idx: list[int], vals: list[float], level: float) -> None:
     """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in place.
 
     ``vals`` holds the point's coordinates on S (0-based positions ``idx``),
@@ -90,16 +90,37 @@ def _capped_projection(y: np.ndarray, idx: list[int], vals: list[float], level: 
         y[i] = x if x > 0.0 else 0.0
 
 
-def _project_if_violated(config: ChannelConfig, y: np.ndarray, subset: frozenset[int]) -> bool:
-    """Project ``y`` in place onto the subset's constraint if its sum there
-    exceeds the capacity; returns whether it did. ValueError on a user index
-    outside 1..M."""
-    level = subset_capacity(config, subset)
-    idx = [i - 1 for i in subset]
-    vals = [y.item(i) for i in idx]
-    if sum(vals) <= level:
+class _Hyperplane(frozenset):
+    """A subset that equals and hashes like the plain frozenset, carrying the
+    config it was built for, its 0-based positions and its capacity there, so
+    that re-testing it as a hint costs only the comparison and the projection.
+
+    The positions follow the iteration order of ``members`` and the level is
+    :func:`subset_capacity` of ``members`` itself, so both are the values a
+    plain frozenset would give. Pickles as the plain frozenset.
+    """
+
+    __slots__ = ("config", "idx", "level")
+
+    def __new__(cls, config: ChannelConfig, members: Iterable[int]):
+        members = frozenset(members)
+        self = super().__new__(cls, members)
+        self.config = config
+        self.idx = [i - 1 for i in members]
+        self.level = subset_capacity(config, members)  # ValueError on a user outside 1..M
+        return self
+
+    def __reduce__(self):
+        return frozenset, (tuple(self),)
+
+
+def _project_if_violated(y: list[float], plane: _Hyperplane) -> bool:
+    """Project ``y`` in place onto the plane's constraint if its sum there
+    exceeds the capacity; returns whether it did."""
+    vals = [y[i] for i in plane.idx]
+    if sum(vals) <= plane.level:
         return False
-    _capped_projection(y, idx, vals, level)
+    _capped_projection(y, plane.idx, vals, plane.level)
     return True
 
 
@@ -116,7 +137,14 @@ def approximate_projection(
     tolerance) is projected onto, and the rest are skipped. Then the finder is
     asked for violations until it returns None, so the result is certified
     feasible by the finder whatever the hint held. :func:`solve` passes the
-    previous step's ``hyperplanes_used``.
+    previous step's ``hyperplanes_used``. Each of those carries its positions
+    and capacity under the config it was found for, so re-testing it for the
+    same ``config`` object costs only its coordinate sum and, if violated, its
+    floored projection. Any other hint element (a list, a set, a frozenset, or
+    a hyperplane of another config) has its capacity computed afresh.
+
+    The working point is a list of floats for the whole call. Each finder call
+    gets an ndarray copy of it, and the last one, certified, is the result.
 
     Every step only decreases coordinates, so a constraint stays satisfied
     once handled and each subset is used at most once. A finder that names a
@@ -133,18 +161,22 @@ def approximate_projection(
     if not (low > -math.inf and y.max() < math.inf):
         raise ValueError("coordinates must be finite")
     np.maximum(y, 0.0, out=y)
+    x = y.tolist()  # the working point
 
-    used: dict[frozenset[int], None] = {}  # insertion-ordered, O(1) membership
-    for subset in map(frozenset, hint):
-        if subset not in used and _project_if_violated(config, y, subset):
-            used[subset] = None
+    used: dict[_Hyperplane, None] = {}  # insertion-ordered, O(1) membership
+    for plane in hint:
+        if not (isinstance(plane, _Hyperplane) and plane.config is config):
+            plane = _Hyperplane(config, plane)
+        if plane not in used and _project_if_violated(x, plane):
+            used[plane] = None
     while True:
+        y = np.array(x)
         subset = finder(config, y)
         if subset is None:
-            break
+            return ProjectionResult(y, tuple(used))
         if subset in used:
             raise RuntimeError(f"finder named subset {sorted(subset)} twice")
-        if not _project_if_violated(config, y, subset):
+        plane = _Hyperplane(config, subset)
+        if not _project_if_violated(x, plane):
             raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
-        used[subset] = None
-    return ProjectionResult(y, tuple(used))
+        used[plane] = None

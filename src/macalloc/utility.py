@@ -21,8 +21,10 @@ def _checked_weights(weights) -> np.ndarray:
     return w
 
 
-def _checked_rates(rates) -> np.ndarray:
+def _checked_rates(rates, weights: np.ndarray) -> np.ndarray:
     r = np.asarray(rates, dtype=float)
+    if r.shape != weights.shape:
+        raise ValueError(f"expected {len(weights)} rates, got shape {r.shape}")
     if not ((r >= 0) & (r < np.inf)).all():
         raise ValueError("rates must be finite and nonnegative")
     return r
@@ -49,10 +51,10 @@ class LinearUtility(Utility):
         self.weights = _checked_weights(weights)
 
     def value(self, rates) -> float:
-        return float(self.weights @ _checked_rates(rates))
+        return float(self.weights @ _checked_rates(rates, self.weights))
 
     def subgradient(self, rates) -> np.ndarray:
-        _checked_rates(rates)
+        _checked_rates(rates, self.weights)
         return self.weights.copy()
 
     def bound(self) -> float:
@@ -73,11 +75,11 @@ class WeightedLogUtility(Utility):
         self.epsilon = float(epsilon)
 
     def value(self, rates) -> float:
-        r = _checked_rates(rates)
+        r = _checked_rates(rates, self.weights)
         return float(self.weights @ np.log(self.epsilon + r))
 
     def subgradient(self, rates) -> np.ndarray:
-        r = _checked_rates(rates)
+        r = _checked_rates(rates, self.weights)
         return self.weights / (self.epsilon + r)
 
     def bound(self) -> float:

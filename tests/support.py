@@ -4,9 +4,10 @@ and the oracles that check the package against them.
 The constraint enumeration here is the tests' own (itertools, Python sums
 and numpy's ``log1p``); it does not read the package's constraint table, so
 the oracles built on it check that table instead of repeating it. The
-most-violated finder, the plain hyperplane projection and the numpy floored
-projection are the references that the package's rate-splitting finder and
-floored projection are checked against.
+most-violated finder, the plain hyperplane projection, the numpy floored
+projection and the from-scratch hinted projection are the references that
+the package's rate-splitting finder, floored projection and hint pass are
+checked against.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from macalloc import (
     approximate_projection,
     rate_split_analyze,
     rate_split_finder,
+    subset_capacity,
 )
 
 
@@ -146,6 +148,41 @@ def capped_projection(point, idx, vals, level: float) -> np.ndarray:
     out = np.array(point, dtype=float)
     out[idx] = np.maximum(vals - theta, 0.0)
     return out
+
+
+def hinted_projection(config, point, hint) -> tuple[np.ndarray, list[frozenset[int]]]:
+    """``approximate_projection(config, point, hint=hint)`` from scratch.
+
+    Every subset's capacity comes from ``subset_capacity`` when it is tested,
+    its coordinates from the current numpy point and its projection from
+    :func:`capped_projection`. The hinted subsets go first, in order, each one
+    projected onto if the point exceeds it and it is not yet used; then
+    ``rate_split_finder`` is asked until it returns None. Returns the point
+    and the subsets projected onto, in order. The reference for the package's
+    carried levels and its working point of Python floats; valid where the
+    package keeps the plain shift (top coordinate at most 1e4 times the level).
+    """
+    y = np.maximum(np.array(point, dtype=float), 0.0)
+    used = []
+
+    def project_if_violated(subset):
+        nonlocal y
+        level = subset_capacity(config, subset)
+        idx = [i - 1 for i in subset]
+        vals = [float(y[i]) for i in idx]
+        if sum(vals) <= level:
+            return False
+        y = capped_projection(y, idx, np.array(vals), level)
+        return True
+
+    for subset in map(frozenset, hint):
+        if subset not in used and project_if_violated(subset):
+            used.append(subset)
+    while (subset := rate_split_finder(config, y)) is not None:
+        if subset in used or not project_if_violated(subset):
+            raise RuntimeError(f"finder named subset {sorted(subset)} twice or satisfied")
+        used.append(subset)
+    return y, used
 
 
 def exact_capped_projection(vals, level: float) -> list[Fraction]:

@@ -51,6 +51,16 @@ class TestSolveCommand:
         ]
         assert float(last[header.index("utility")]) == pytest.approx(0.89588, abs=1e-3)
 
+    def test_summary_says_why_and_when(self, pinned, tmp_path, capsys):
+        """The summary's last fields are the stop reason and the iteration of
+        the best point, as key=value tokens like the others."""
+        assert main(["solve", pinned, "--trace", str(tmp_path / "trace.csv")]) == 0
+        fields = dict(tok.split("=", 1) for tok in capsys.readouterr().out.split())
+        assert list(fields) == ["utility", "rates", "iterations", "units", "stop_reason", "best_iter"]
+        assert fields["stop_reason"] == "stalled"
+        assert fields["best_iter"] == "1014"
+        assert int(fields["best_iter"]) < int(fields["iterations"])
+
     def test_bits_flag_rescales_display(self, pinned, tmp_path, capsys):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["solve", pinned, "--trace", str(t1)]) == 0

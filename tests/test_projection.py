@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from support import (
     batch_feasible,
     capped_projection,
     exact_capped_projection,
+    hinted_projection,
     most_violated_finder,
     project_onto_hyperplane,
     pseudo_nonexpansive_check,
@@ -278,6 +280,70 @@ class TestHint:
             b = approximate_projection(cfg, y, hint=())
             assert a.point.tobytes() == b.point.tobytes()
             assert a.hyperplanes_used == b.hyperplanes_used
+
+
+class TestCarriedLevels:
+    """Each subset in ``hyperplanes_used`` carries its capacity under the config
+    it was found for; a hint for another config must not use it."""
+
+    A = ChannelConfig((0.6, 1.1, 1.7, 0.9), 1.0)
+
+    def _used(self):
+        y = np.array([1.0, 0.2, 1.5, 0.7]) * subset_capacity(self.A, {1, 2, 3, 4})
+        return y, approximate_projection(self.A, y).hyperplanes_used
+
+    @pytest.mark.parametrize("other", [
+        ChannelConfig((1.2, 0.7, 2.3, 0.5), 1.0),  # same M, other powers
+        ChannelConfig((0.6, 1.1, 1.7, 0.9), 2.5),  # same powers, other noise
+        ChannelConfig((0.6, 1.1, 1.7, 0.9), 1.0),  # equal to A, another object
+    ])
+    def test_never_cross_configs(self, other):
+        y, used = self._used()
+        assert len(used) >= 3
+        carried = approximate_projection(other, y, hint=used)
+        plain = approximate_projection(other, y, hint=[frozenset(s) for s in used])
+        assert carried.point.tobytes() == plain.point.tobytes()
+        assert carried.hyperplanes_used == plain.hyperplanes_used
+
+    def test_out_of_range_for_another_config(self):
+        _, used = self._used()
+        assert any(4 in s for s in used)
+        with pytest.raises(ValueError, match="out of range"):
+            approximate_projection(ChannelConfig((0.6, 1.1, 1.7)), [1.0, 1.0, 1.0], hint=used)
+
+    def test_hyperplanes_are_plain_frozensets(self):
+        for s in self._used()[1]:
+            plain = frozenset(s)
+            assert s == plain and hash(s) == hash(plain)
+            assert type(pickle.loads(pickle.dumps(s))) is frozenset
+
+
+class TestHintedReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_from_scratch_loop(self, data):
+        """Hints drawn as lists, sets and frozensets (repeats included), then
+        the result's own hyperplanes as the next hint, as solve passes them:
+        the point and the hyperplane list equal the reference bit for bit."""
+        m = data.draw(st.integers(1, 10), label="m")
+        noise = 10.0 ** data.draw(st.floats(-6.0, 6.0), label="log10 noise")
+        powers = data.draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m), label="powers")
+        cfg = ChannelConfig(tuple(powers), noise)
+        scale = subset_capacity(cfg, range(1, m + 1))
+        point = st.lists(st.floats(-0.2, 2.0), min_size=m, max_size=m).map(lambda u: np.array(u) * scale)
+        subset = st.tuples(st.sets(st.integers(1, m), max_size=m),
+                           st.sampled_from([list, set, frozenset])).map(lambda t: t[1](t[0]))
+        hint = data.draw(st.lists(subset, max_size=12), label="hint")
+        hint += data.draw(st.lists(st.sampled_from(hint), max_size=4), label="repeats") if hint else []
+
+        y1, y2 = data.draw(point, label="y1"), data.draw(point, label="y2")
+        extra = data.draw(st.lists(subset, max_size=3), label="extra")
+        carried = approximate_projection(cfg, y1, hint=hint).hyperplanes_used
+        for y, h in ((y1, hint), (y2, carried), (y2, extra + list(carried) + extra)):
+            result = approximate_projection(cfg, y, hint=h)
+            ref_point, ref_used = hinted_projection(cfg, y, h)
+            assert result.point.tobytes() == ref_point.tobytes()
+            assert list(result.hyperplanes_used) == ref_used
 
 
 class TestNoiseScale:

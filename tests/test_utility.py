@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from macalloc import ChannelConfig, LinearUtility, WeightedLogUtility, subset_capacity
+from macalloc import ChannelConfig, LinearUtility, WeightedLogUtility, solve, subset_capacity
 
 
 def _box_points(rng, m, hi, n):
@@ -97,6 +97,21 @@ def sampled_utility(request):
     if request.param == "linear":
         return LinearUtility(w)
     return WeightedLogUtility(w, epsilon=0.05)
+
+
+class TestRateShape:
+    """One rate per weight, as a vector: other shapes are rejected, not broadcast."""
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 4), (4, 1), ()])
+    def test_rejects_rates_of_another_shape(self, sampled_utility, shape):
+        rates = np.full(shape, 0.1)
+        for method in (sampled_utility.value, sampled_utility.subgradient):
+            with pytest.raises(ValueError, match=r"expected 4 rates, got shape"):
+                method(rates)
+
+    def test_solve_rejects_a_utility_of_another_size(self):
+        with pytest.raises(ValueError, match=r"expected 2 rates, got shape \(3,\)"):
+            solve(ChannelConfig((1.0, 1.0, 1.0)), LinearUtility([1.0, 1.0]))
 
 
 class TestAssumptions:
