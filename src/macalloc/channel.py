@@ -22,13 +22,21 @@ import numpy as np
 BRUTE_FORCE_MAX_USERS = 20
 
 
+def _capacity(snr):
+    """0.5 * ln(1 + snr), elementwise, in nats: the one capacity formula, so
+    that a scalar capacity and the constraint table agree to the bit."""
+    c = np.log1p(snr)
+    c *= 0.5
+    return c
+
+
 def awgn_capacity(power: float, noise: float) -> float:
     """Single-user AWGN capacity 0.5 * ln(1 + power/noise), in nats."""
     if not noise > 0.0:
         raise ValueError(f"noise must be positive, got {noise}")
     if power < 0.0:
         raise ValueError(f"power must be nonnegative, got {power}")
-    return 0.5 * math.log1p(power / noise)
+    return float(_capacity(power / noise))
 
 
 @dataclass(frozen=True)
@@ -72,21 +80,40 @@ def _checked_members(config: ChannelConfig, members: Iterable[int]) -> frozenset
     return s
 
 
+def _subset_sum(values, s: frozenset[int]) -> float:
+    """The sum of values[i - 1] over S, added in increasing user order as
+    :func:`subset_sums` adds it, so the two agree to the bit."""
+    total = 0.0
+    for i in sorted(s):
+        total += values[i - 1]
+    return total
+
+
 def subset_capacity(config: ChannelConfig, members: Iterable[int]) -> float:
-    """Sum-rate bound f(S) = C(sum_{i in S} P_i, noise); f({}) = 0 exactly."""
+    """Sum-rate bound f(S) = C(sum_{i in S} P_i, noise); f({}) = 0 exactly.
+
+    Equals ``constraint_table(config)[k]`` to the bit, k the bitmask of S.
+    """
     s = _checked_members(config, members)
     if not s:
         return 0.0
-    return awgn_capacity(sum(config.powers[i - 1] for i in s), config.noise)
+    return awgn_capacity(_subset_sum(config.powers, s), config.noise)
 
 
 def constraint_slack(config: ChannelConfig, rates, members: Iterable[int]) -> float:
-    """f(S) minus the rates' sum over S; negative iff the constraint is violated."""
+    """f(S) minus the rates' sum over S; negative iff the constraint is violated.
+
+    Equals ``constraint_table(config)[k] - subset_sums(rates)[k]`` to the bit,
+    k the bitmask of S. Raises ValueError unless there is one finite rate per
+    user; negative rates are allowed.
+    """
     s = _checked_members(config, members)
     if not s:
         raise ValueError("slack is defined for nonempty subsets only")
-    r = np.asarray(rates, dtype=float)
-    return subset_capacity(config, s) - float(sum(r[i - 1] for i in s))
+    r = rate_vector(config, rates)
+    if not np.isfinite(r).all():
+        raise ValueError("rates must be finite")
+    return subset_capacity(config, s) - _subset_sum(r.tolist(), s)
 
 
 def subset_sums(values) -> np.ndarray:
@@ -116,8 +143,7 @@ def constraint_table(config: ChannelConfig) -> np.ndarray:
     m = config.num_users
     if m > BRUTE_FORCE_MAX_USERS:
         raise ValueError(f"enumeration capped at {BRUTE_FORCE_MAX_USERS} users, got {m}")
-    capacities = np.log1p(subset_sums(config.powers) / config.noise)
-    capacities *= 0.5
+    capacities = _capacity(subset_sums(config.powers) / config.noise)
     capacities.setflags(write=False)
     return capacities
 

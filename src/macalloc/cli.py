@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BRUTE_FORCE_MAX_USERS, ChannelConfig, subset_capacity, subset_members
+from .channel import BRUTE_FORCE_MAX_USERS, ChannelConfig, constraint_table, subset_members
 from .optimizer import (
     ConstantStep,
     DiminishingStep,
@@ -197,10 +197,9 @@ def cmd_region(args) -> int:
     if m > BRUTE_FORCE_MAX_USERS:
         print(f"region listing capped at {BRUTE_FORCE_MAX_USERS} users, got {m}", file=sys.stderr)
         return EXIT_INVALID
+    capacities = constraint_table(problem.config)
     for mask in range(1, 2**m):
-        members = subset_members(mask)
-        cap = subset_capacity(problem.config, members)
-        print(f"{mask} {_fmt_members(members)} {_fmt(cap)}")
+        print(f"{mask} {_fmt_members(subset_members(mask))} {_fmt(capacities[mask])}")
     return EXIT_OK
 
 

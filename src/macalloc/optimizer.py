@@ -206,11 +206,11 @@ def solve(
 
     rates = np.zeros(config.num_users)
     value = utility.value(rates)
-    best_rates = rates.copy()
+    best_rates = rates
     best_value = value
     best_iter = 0
 
-    rows_r = [rates.copy()]
+    rows_r = [rates]
     rows_u = [value]
     rows_a = [0.0]
     rows_g = [0.0]
@@ -219,6 +219,8 @@ def solve(
 
     stop_reason = "max_iters"
     hint: tuple[frozenset[int], ...] = ()
+    # every iterate is a fresh array that nothing mutates, so the rows and the
+    # best point share it; only the trace's best point is a copy
     for k in range(settings.max_iters):
         g = utility.subgradient(rates)
         alpha = min(rule.at(k), cap)
@@ -228,10 +230,10 @@ def solve(
         value = utility.value(rates)
         if value > best_value:
             best_value = value
-            best_rates = rates.copy()
+            best_rates = rates
             best_iter = k + 1
 
-        rows_r.append(rates.copy())
+        rows_r.append(rates)
         rows_u.append(value)
         rows_a.append(alpha)
         rows_g.append(float(np.linalg.norm(g)))

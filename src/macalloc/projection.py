@@ -39,12 +39,12 @@ class ProjectionResult:
 _PLAIN_SHIFT_RATIO = 1e4
 
 
-def _capped_projection(y: list[float], idx: list[int], vals: list[float], level: float) -> None:
+def _capped_projection(y: list[float], idx: Iterable[int], vals: list[float], level: float) -> None:
     """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in place.
 
-    ``vals`` holds the point's coordinates on S (0-based positions ``idx``),
-    as floats, and must sum to more than ``level``; only those positions of
-    ``y`` are written.
+    ``vals`` holds the point's coordinates on S (at the positions ``idx`` of
+    ``y``, in that order), as floats, and must sum to more than ``level``;
+    only those positions of ``y`` are written.
 
     Uniform shift with a zero floor: x_i = max(y_i - theta, 0) on S with the
     smallest theta >= 0 that brings the sum down to level. When no coordinate
@@ -92,22 +92,18 @@ def _capped_projection(y: list[float], idx: list[int], vals: list[float], level:
 
 class _Hyperplane(frozenset):
     """A subset that equals and hashes like the plain frozenset, carrying the
-    config it was built for, its 0-based positions and its capacity there, so
-    that re-testing it as a hint costs only the comparison and the projection.
-
-    The positions follow the iteration order of ``members`` and the level is
-    :func:`subset_capacity` of ``members`` itself, so both are the values a
-    plain frozenset would give. Pickles as the plain frozenset.
+    config it was built for and its capacity there, so that re-testing it as
+    a hint costs only the comparison and the projection. Its members index
+    the working point, which keeps an unused slot 0. Pickles as the plain
+    frozenset.
     """
 
-    __slots__ = ("config", "idx", "level")
+    __slots__ = ("config", "level")
 
     def __new__(cls, config: ChannelConfig, members: Iterable[int]):
-        members = frozenset(members)
         self = super().__new__(cls, members)
         self.config = config
-        self.idx = [i - 1 for i in members]
-        self.level = subset_capacity(config, members)  # ValueError on a user outside 1..M
+        self.level = subset_capacity(config, self)  # ValueError on a user outside 1..M
         return self
 
     def __reduce__(self):
@@ -117,10 +113,10 @@ class _Hyperplane(frozenset):
 def _project_if_violated(y: list[float], plane: _Hyperplane) -> bool:
     """Project ``y`` in place onto the plane's constraint if its sum there
     exceeds the capacity; returns whether it did."""
-    vals = [y[i] for i in plane.idx]
+    vals = [y[i] for i in plane]
     if sum(vals) <= plane.level:
         return False
-    _capped_projection(y, plane.idx, vals, plane.level)
+    _capped_projection(y, plane, vals, plane.level)
     return True
 
 
@@ -137,14 +133,15 @@ def approximate_projection(
     tolerance) is projected onto, and the rest are skipped. Then the finder is
     asked for violations until it returns None, so the result is certified
     feasible by the finder whatever the hint held. :func:`solve` passes the
-    previous step's ``hyperplanes_used``. Each of those carries its positions
-    and capacity under the config it was found for, so re-testing it for the
+    previous step's ``hyperplanes_used``. Each of those carries its capacity
+    under the config it was found for, so re-testing it for the
     same ``config`` object costs only its coordinate sum and, if violated, its
     floored projection. Any other hint element (a list, a set, a frozenset, or
     a hyperplane of another config) has its capacity computed afresh.
 
-    The working point is a list of floats for the whole call. Each finder call
-    gets an ndarray copy of it, and the last one, certified, is the result.
+    The working point is a list of floats for the whole call, indexed by user
+    (slot 0 unused). Each finder call gets an ndarray copy of its coordinates,
+    and the last one, certified, is the result.
 
     Every step only decreases coordinates, so a constraint stays satisfied
     once handled and each subset is used at most once. A finder that names a
@@ -161,7 +158,7 @@ def approximate_projection(
     if not (low > -math.inf and y.max() < math.inf):
         raise ValueError("coordinates must be finite")
     np.maximum(y, 0.0, out=y)
-    x = y.tolist()  # the working point
+    x = [0.0] + y.tolist()  # the working point, x[i] the coordinate of user i
 
     used: dict[_Hyperplane, None] = {}  # insertion-ordered, O(1) membership
     for plane in hint:
@@ -170,7 +167,7 @@ def approximate_projection(
         if plane not in used and _project_if_violated(x, plane):
             used[plane] = None
     while True:
-        y = np.array(x)
+        y = np.array(x[1:])
         subset = finder(config, y)
         if subset is None:
             return ProjectionResult(y, tuple(used))

@@ -14,6 +14,7 @@ from macalloc import (
     subset_capacity,
     subset_members,
 )
+from macalloc.channel import subset_sums
 from support import batch_feasible, random_config
 
 TWO_USER = ChannelConfig((1.0, 1.0), 1.0)
@@ -112,6 +113,35 @@ class TestConstraintSlack:
         with pytest.raises(ValueError):
             constraint_slack(TWO_USER, [0.0, 0.0], set())
 
+    @pytest.mark.parametrize("rates", [[0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1]], 0.1])
+    def test_wrong_shape_rejected(self, rates):
+        with pytest.raises(ValueError, match="expected 2 rates"):
+            constraint_slack(TWO_USER, rates, {1})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        """Outside the subset too: the rate vector as a whole must be finite."""
+        for rates in ([bad, 0.1], [0.1, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                constraint_slack(TWO_USER, rates, {1, 2})
+            with pytest.raises(ValueError, match="finite"):
+                constraint_slack(TWO_USER, rates, {1})
+
+    def test_negative_rates_keep_their_slack(self):
+        assert constraint_slack(TWO_USER, [-0.5, 0.25], {1, 2}) == subset_capacity(TWO_USER, {1, 2}) + 0.25
+
+    def test_is_the_table_minus_the_subset_sums(self):
+        """Capacity and load both come out of the one formula each, so the
+        slack is the enumeration's to the bit on every subset."""
+        rng = np.random.default_rng(83)
+        for m in range(1, 11):
+            cfg = random_config(rng, m, noise=10.0 ** rng.uniform(-9.0, 9.0))
+            scale = subset_capacity(cfg, range(1, m + 1))
+            rates = rng.uniform(-0.2, 1.0, m) * scale
+            expected = constraint_table(cfg) - subset_sums(rates)
+            for mask in range(1, 1 << m):
+                assert constraint_slack(cfg, rates, subset_members(mask)) == expected[mask], (cfg, mask)
+
 
 class TestBruteForceFeasibility:
     """support.batch_feasible, the tests' enumeration oracle for feasibility."""
@@ -152,6 +182,25 @@ class TestConstraintTable:
             expected = 0.5 * math.log1p(power_sum / cfg.noise)
             assert capacities[mask] == pytest.approx(expected, rel=1e-15, abs=0.0)
         assert not capacities.flags.writeable
+
+    def test_subset_capacity_is_the_table_at_every_mask(self):
+        """The scalar and the vectorized capacity are one formula over one
+        power sum, so they agree to the bit, at any noise level."""
+        rng = np.random.default_rng(79)
+        for n in range(30):
+            m = n % 12 + 1
+            cfg = random_config(rng, m, lo=1e-3, hi=1e3, noise=10.0 ** rng.uniform(-9.0, 9.0))
+            capacities = constraint_table(cfg)
+            for mask in range(1, 1 << m):
+                assert subset_capacity(cfg, subset_members(mask)) == capacities[mask], (cfg, mask)
+
+    def test_subset_capacity_is_the_table_at_sampled_masks_of_20_users(self):
+        rng = np.random.default_rng(89)
+        for noise in (1e-9, 1e-3, 1.0, 1e3, 1e9):
+            cfg = random_config(rng, 20, lo=1e-3 * noise, hi=1e3 * noise, noise=noise)
+            capacities = constraint_table(cfg)
+            for mask in rng.integers(1, 1 << 20, 1000).tolist():
+                assert subset_capacity(cfg, subset_members(mask)) == capacities[mask], (cfg, mask)
 
 
 class TestPolymatroidStructure:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from macalloc import ChannelConfig, constraint_table, subset_members
 from macalloc.cli import main
 
 PINNED_PROBLEM = {
@@ -156,6 +157,17 @@ class TestRegionCommand:
         assert rows[0].split() == ["1", "{1}", "0.34657359028"]
         assert rows[1].split() == ["2", "{2}", "0.34657359028"]
         assert rows[2].split() == ["3", "{1,2}", "0.549306144334"]
+
+    def test_rows_are_the_constraint_table(self, problem_file, capsys):
+        config = ChannelConfig((0.3, 2.0, 7.5, 1.1, 40.0, 0.02), 0.7)
+        path = problem_file({"powers": list(config.powers), "noise": config.noise})
+        assert main(["region", path]) == 0
+        rows = [row.split() for row in capsys.readouterr().out.strip().splitlines()]
+        capacities = constraint_table(config)
+        assert [int(mask) for mask, _, _ in rows] == list(range(1, 64))
+        for mask, members, capacity in rows:
+            assert members == "{" + ",".join(map(str, sorted(subset_members(int(mask))))) + "}"
+            assert capacity == f"{capacities[int(mask)]:.12g}"
 
     def test_single_user(self, problem_file, capsys):
         path = problem_file({"powers": [1.0], "noise": 1.0})

@@ -5,9 +5,13 @@ written by running this file as a script from the root of a checkout:
 
     PYTHONPATH=src python tests/test_trace_baseline.py
 
-A change that alters traces on purpose regenerates the file and reports the
-largest change per column. Integer columns, the stop reason and the best
-iteration must match exactly. Float columns must match to RTOL relative, or
+Before it overwrites the file, the script prints what the rewrite changes:
+each case the test would reject, with its differences in the integer
+columns, the stop reason and the best iteration; the count of cases that
+changed within the tolerance; and the largest absolute change per float
+column. A change that alters traces on purpose regenerates the file and
+reports that output. Integer columns, the stop reason and the best iteration
+must match exactly. Float columns must match to RTOL relative, or
 to ATOL where a value is zero, so the test does not hinge on the last bit of
 a libm routine; a flipped decision in the finder moves rates far more.
 
@@ -151,8 +155,71 @@ def test_rebuilt_violation_counts_match_baseline(baseline, index):
     assert counts == expected["violations_pre"]
 
 
+def _max_abs_change(old, new) -> float:
+    """Largest absolute difference over the rows both columns have."""
+    old, new = np.atleast_1d(np.asarray(old, dtype=float)), np.atleast_1d(np.asarray(new, dtype=float))
+    n = min(len(old), len(new))
+    return float(np.max(np.abs(new[:n] - old[:n]), initial=0.0))
+
+
+def _within_tolerance(old, new) -> bool:
+    """Whether test_trace_matches_baseline would accept ``new`` against ``old``."""
+    if any(old[field] != new[field] for field in INT_FIELDS + ("violations_pre",)):
+        return False
+    try:
+        for field in FLOAT_FIELDS:
+            np.testing.assert_allclose(new[field], old[field], rtol=RTOL, atol=ATOL)
+    except AssertionError:
+        return False
+    return True
+
+
+def describe_changes(old_entries, new_entries) -> list[str]:
+    """What replacing ``old_entries`` by ``new_entries`` changes, one line each:
+    the cases the test would reject, with their integer, stop-reason and
+    best-iteration differences; the count of cases that changed within the
+    tolerance; then the largest absolute change per float column."""
+    old_by_case = {json.dumps(e["case"], sort_keys=True): e["trace"] for e in old_entries}
+    lines = []
+    largest = dict.fromkeys(FLOAT_FIELDS, 0.0)
+    before = after = tolerated = 0
+    for entry in new_entries:
+        new = entry["trace"]
+        old = old_by_case.get(json.dumps(entry["case"], sort_keys=True))
+        if old is None:
+            lines.append(f"{_case_id(entry['case'])}: new case")
+            continue
+        before += sum(old["projections"])
+        after += sum(new["projections"])
+        if old == new:
+            continue
+        for field in FLOAT_FIELDS:
+            largest[field] = max(largest[field], _max_abs_change(old[field], new[field]))
+        if _within_tolerance(old, new):
+            tolerated += 1
+            continue
+        notes = []
+        for field in ("best_iter", "stop_reason"):
+            if old[field] != new[field]:
+                notes.append(f"{field} {old[field]} -> {new[field]}")
+        for field in ("projections", "violations_pre"):
+            if old[field] != new[field]:
+                rows = sum(a != b for a, b in zip(old[field], new[field]))
+                notes.append(f"{field} differ in {rows} rows, total {sum(old[field])} -> {sum(new[field])}")
+        if len(old["rates"]) != len(new["rates"]):
+            notes.append(f"rows {len(old['rates'])} -> {len(new['rates'])}")
+        relative = (new["best_utility"] - old["best_utility"]) / abs(old["best_utility"])
+        notes.append(f"best_utility {old['best_utility']:.12g} -> {new['best_utility']:.12g} ({relative:+.3%})")
+        lines.append(f"{_case_id(entry['case'])}: " + "; ".join(notes))
+    lines.append(f"{len(lines)} of {len(new_entries)} cases changed beyond RTOL/ATOL, {tolerated} more within")
+    lines.append(f"hyperplanes over every case: {before} -> {after}")
+    lines += [f"largest absolute change in {field}: {change:.3g}" for field, change in largest.items()]
+    return lines
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
+    committed = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else []
     entries = []
     for case in CASES:
         trace = run_case(case)
@@ -161,5 +228,7 @@ if __name__ == "__main__":
         # the fixture's column order, violations_pre before projections
         trace = dict(list(trace.items())[:4] + [("violations_pre", counts)] + list(trace.items())[4:])
         entries.append({"case": case, "trace": trace})
+    for line in describe_changes(committed, entries):
+        print(line)
     FIXTURE.write_text(json.dumps(entries, separators=(",", ":")) + "\n")
     print(f"wrote {len(entries)} traces to {FIXTURE}", file=sys.stderr)
