@@ -8,9 +8,9 @@ the summed power and rate, and the next round runs on one user fewer. Only
 the merged hyper-user's elevation changes. A (hyper-)user with negative
 elevation carries more rate than its joint capacity, which names a violated
 constraint of the original configuration; if no overlap remains, the sorted
-users certify decodability by successive cancellation. Runs in
-O(M^2 log M), the per-round sort, with no enumeration of the 2**M - 1
-constraints.
+users certify decodability by successive cancellation. A merge fills the
+lower of its two fixed slots, and each round re-sorts the last round's order:
+O(M^2 log M) at worst, with no enumeration of the 2**M - 1 constraints.
 """
 
 from __future__ import annotations
@@ -129,10 +129,10 @@ def _split(config: ChannelConfig, rates) -> frozenset[int] | Feasible:
     if lowest < -tol:
         return frozenset({d.index(lowest) + 1})
     members = [frozenset({i}) for i in range(1, len(p) + 1)]
-    low = list(range(1, len(p) + 1))  # smallest original index, for tie-breaks
+    order = list(range(len(p)))  # slot j holds the group whose smallest user is j + 1
 
     while True:
-        order = sorted(range(len(p)), key=lambda j: (d[j], low[j]))
+        order.sort(key=lambda j: (d[j], j))
         for a, b in zip(order, order[1:]):
             if d[b] < d[a] + p[a] - tol:
                 break
@@ -140,11 +140,11 @@ def _split(config: ChannelConfig, rates) -> frozenset[int] | Feasible:
             return Feasible(tuple(SpinOffUser(p[j], r[j], d[j], members[j]) for j in order))
 
         # every other elevation is unchanged and was at least -tol
-        p[a] += p[b]
-        r[a] += r[b]
-        members[a] = members[a] | members[b]
-        low[a] = min(low[a], low[b])
-        d[a] = _elevation(p[a], r[a], noise)
-        if d[a] < -tol:
-            return members[a]
-        del p[b], r[b], d[b], members[b], low[b]
+        s, t = (a, b) if a < b else (b, a)
+        p[s] = p[a] + p[b]
+        r[s] = r[a] + r[b]
+        members[s] = members[a] | members[b]
+        d[s] = _elevation(p[s], r[s], noise)
+        if d[s] < -tol:
+            return members[s]
+        order.remove(t)

@@ -7,10 +7,12 @@ the oracles built on it check that table instead of repeating it. The
 most-violated finder, the plain hyperplane projection, the numpy floored
 projection and the from-scratch hinted projection are the references that
 the package's rate-splitting finder, floored projection and hint pass are
-checked against.
+checked against; the from-scratch rate splitting checks the package's to the
+bit, tie-breaks included.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,6 +21,8 @@ import numpy as np
 from macalloc import (
     OVERLAP_TOL,
     ChannelConfig,
+    Feasible,
+    SpinOffUser,
     Violated,
     approximate_projection,
     rate_split_analyze,
@@ -82,6 +86,15 @@ def random_infeasible(rng, config) -> np.ndarray:
     return direction * boundary_scale(config, direction) * rng.uniform(1.02, 2.5)
 
 
+def cascade_input(m) -> tuple[ChannelConfig, np.ndarray]:
+    """Equal powers and an equal split just past the sum-rate bound: all M - 1
+    merges happen (strict subsets stay feasible by strict concavity) before the
+    final hyper-user turns up negative, exercising the full recursion depth."""
+    cfg = ChannelConfig((1.0,) * m, 1.0)
+    full = subset_capacity(cfg, range(1, m + 1))
+    return cfg, np.full(m, full / m * (1.0 + 1e-7))
+
+
 def subset_loads(config, rates) -> np.ndarray:
     """The rates' sum over each of :func:`nonempty_subsets`, in increasing
     user order, so designed ties stay exact."""
@@ -112,6 +125,43 @@ def most_violated_finder(config, rates):
     """Violation finder for ``approximate_projection`` by exhaustive enumeration."""
     hit = find_most_violated(config, rates)
     return hit[0] if hit is not None else None
+
+
+def rate_split_reference(config, rates):
+    """``rate_split_analyze`` from its description alone, for rates below 350 nats.
+
+    Every round sorts all hyper-users by (elevation, smallest original index).
+    If the first is below -OVERLAP_TOL * noise, its members are the violated
+    subset. Otherwise the first adjacent pair whose lower rectangle reaches
+    into the upper one merges: summed power and rate, the lower hyper-user's
+    members united with the upper's. With no such pair, the sorted hyper-users
+    are the certificate. The slack is 0.5 * log1p(power sum / noise) minus the
+    rate sum, both sums in increasing user order.
+    """
+    noise = config.noise
+    tol = OVERLAP_TOL * noise
+
+    def hyper_user(power, rate, members):
+        elevation = power / math.expm1(2.0 * rate) - noise if rate > 0.0 else math.inf
+        return SpinOffUser(power, rate, elevation, members)
+
+    rates = [float(x) for x in rates]
+    users = [hyper_user(p, x, frozenset({i})) for i, (p, x) in enumerate(zip(config.powers, rates), 1)]
+    while True:
+        users.sort(key=lambda u: (u.elevation, min(u.members)))
+        if users[0].elevation < -tol:
+            subset = users[0].members
+            power = sum(config.powers[i - 1] for i in sorted(subset))
+            load = sum(rates[i - 1] for i in sorted(subset))
+            return Violated(subset, 0.5 * float(np.log1p(power / noise)) - load)
+        for k in range(len(users) - 1):
+            low, high = users[k], users[k + 1]
+            if high.elevation < low.elevation + low.power - tol:
+                users[k : k + 2] = [hyper_user(low.power + high.power, low.rate + high.rate,
+                                               low.members | high.members)]
+                break
+        else:
+            return Feasible(tuple(users))
 
 
 def project_onto_hyperplane(point, members, level: float) -> np.ndarray:
