@@ -92,18 +92,19 @@ def _capped_projection(y: list[float], idx: Iterable[int], vals: list[float], le
 
 class _Hyperplane(frozenset):
     """A subset that equals and hashes like the plain frozenset, carrying the
-    config it was built for and its capacity there, so that re-testing it as
-    a hint costs only the comparison and the projection. Its members index
-    the working point, which keeps an unused slot 0. Pickles as the plain
-    frozenset.
+    config it was built for, its capacity there and its members in increasing
+    order, so that re-testing it as a hint costs only the comparison and the
+    projection. Its members index the working point, which keeps an unused
+    slot 0. Pickles as the plain frozenset.
     """
 
-    __slots__ = ("config", "level")
+    __slots__ = ("config", "level", "users")
 
     def __new__(cls, config: ChannelConfig, members: Iterable[int]):
         self = super().__new__(cls, members)
         self.config = config
         self.level = subset_capacity(config, self)  # ValueError on a user outside 1..M
+        self.users = tuple(sorted(self))
         return self
 
     def __reduce__(self):
@@ -112,11 +113,19 @@ class _Hyperplane(frozenset):
 
 def _project_if_violated(y: list[float], plane: _Hyperplane) -> bool:
     """Project ``y`` in place onto the plane's constraint if its sum there
-    exceeds the capacity; returns whether it did."""
-    vals = [y[i] for i in plane]
-    if sum(vals) <= plane.level:
+    exceeds the capacity; returns whether it did.
+
+    The sum adds in increasing user order, left to right, as
+    :func:`~macalloc.channel.constraint_slack` does, so the test agrees with
+    the slack's sign to the bit.
+    """
+    vals = [y[i] for i in plane.users]
+    load = 0.0
+    for v in vals:
+        load += v
+    if load <= plane.level:
         return False
-    _capped_projection(y, plane, vals, plane.level)
+    _capped_projection(y, plane.users, vals, plane.level)
     return True
 
 
@@ -129,8 +138,10 @@ def approximate_projection(
     """Clamp negatives, then project onto violated constraints until none remain.
 
     ``hint`` lists subsets to re-test first, in order: each one the point
-    exceeds (by its coordinate sum against :func:`subset_capacity`, without a
-    tolerance) is projected onto, and the rest are skipped. Then the finder is
+    exceeds (by its coordinate sum, added in increasing user order, against
+    :func:`subset_capacity`, without a tolerance: exactly where
+    :func:`~macalloc.channel.constraint_slack` is negative) is projected
+    onto, and the rest are skipped. Then the finder is
     asked for violations until it returns None, so the result is certified
     feasible by the finder whatever the hint held. :func:`solve` passes the
     previous step's ``hyperplanes_used``. Each of those carries its capacity

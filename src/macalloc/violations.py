@@ -9,8 +9,10 @@ the merged hyper-user's elevation changes. A (hyper-)user with negative
 elevation carries more rate than its joint capacity, which names a violated
 constraint of the original configuration; if no overlap remains, the sorted
 users certify decodability by successive cancellation. A merge fills the
-lower of its two fixed slots, and each round re-sorts the last round's order:
-O(M^2 log M) at worst, with no enumeration of the 2**M - 1 constraints.
+lower of its two fixed slots, and each round re-sorts the last round's order
+by one (elevation, slot) key per slot, built once; a merge rebuilds only its
+own slot's key. O(M^2 log M) at worst, with no enumeration of the 2**M - 1
+constraints.
 """
 
 from __future__ import annotations
@@ -130,9 +132,10 @@ def _split(config: ChannelConfig, rates) -> frozenset[int] | Feasible:
         return frozenset({d.index(lowest) + 1})
     members = [frozenset({i}) for i in range(1, len(p) + 1)]
     order = list(range(len(p)))  # slot j holds the group whose smallest user is j + 1
+    keys = list(zip(d, order))  # slot j's sort key (d[j], j); only a merge changes one
 
     while True:
-        order.sort(key=lambda j: (d[j], j))
+        order.sort(key=keys.__getitem__)
         for a, b in zip(order, order[1:]):
             if d[b] < d[a] + p[a] - tol:
                 break
@@ -147,4 +150,5 @@ def _split(config: ChannelConfig, rates) -> frozenset[int] | Feasible:
         d[s] = _elevation(p[s], r[s], noise)
         if d[s] < -tol:
             return members[s]
+        keys[s] = (d[s], s)
         order.remove(t)

@@ -25,6 +25,7 @@ from macalloc import (
     SpinOffUser,
     Violated,
     approximate_projection,
+    constraint_slack,
     rate_split_analyze,
     rate_split_finder,
     subset_capacity,
@@ -203,10 +204,10 @@ def capped_projection(point, idx, vals, level: float) -> np.ndarray:
 def hinted_projection(config, point, hint) -> tuple[np.ndarray, list[frozenset[int]]]:
     """``approximate_projection(config, point, hint=hint)`` from scratch.
 
-    Every subset's capacity comes from ``subset_capacity`` when it is tested,
-    its coordinates from the current numpy point and its projection from
-    :func:`capped_projection`. The hinted subsets go first, in order, each one
-    projected onto if the point exceeds it and it is not yet used; then
+    Every subset is tested by ``constraint_slack`` at the current numpy point
+    and projected onto by :func:`capped_projection` at its ``subset_capacity``.
+    The hinted subsets go first, in order, each one projected onto if its
+    slack is negative and it is not yet used (an empty one never is); then
     ``rate_split_finder`` is asked until it returns None. Returns the point
     and the subsets projected onto, in order. The reference for the package's
     carried levels and its working point of Python floats; valid where the
@@ -217,12 +218,10 @@ def hinted_projection(config, point, hint) -> tuple[np.ndarray, list[frozenset[i
 
     def project_if_violated(subset):
         nonlocal y
-        level = subset_capacity(config, subset)
-        idx = [i - 1 for i in subset]
-        vals = [float(y[i]) for i in idx]
-        if sum(vals) <= level:
+        if not subset or constraint_slack(config, y, subset) >= 0.0:
             return False
-        y = capped_projection(y, idx, np.array(vals), level)
+        idx = [i - 1 for i in subset]
+        y = capped_projection(y, idx, y[idx], subset_capacity(config, subset))
         return True
 
     for subset in map(frozenset, hint):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from macalloc import (
     ChannelConfig,
     approximate_projection,
+    constraint_slack,
     count_violations,
     rate_split_finder,
     subset_capacity,
@@ -271,6 +272,19 @@ class TestHint:
     def test_out_of_range_hint_rejected(self, user):
         with pytest.raises(ValueError, match="out of range"):
             approximate_projection(TWO_USER, [0.5, 0.5], hint=({1, user},))
+
+    def test_hint_load_adds_in_user_order(self):
+        # {1, 2, 8} iterates as 8, 1, 2; (x1 + x2) + x8 is the capacity to the
+        # bit, while (x8 + x1) + x2 lies one ulp above it
+        cfg = ChannelConfig((1.0,) * 8, 1.0)
+        subset = frozenset({1, 2, 8})
+        x = [0.2141531006329555, 0.247103907865945] + [0.0] * 5 + [0.2318901720610448]
+        assert list(subset) == [8, 1, 2]
+        assert (x[7] + x[0]) + x[1] == math.nextafter(subset_capacity(cfg, subset), math.inf)
+        assert constraint_slack(cfg, x, subset) == 0.0
+        result = approximate_projection(cfg, x, hint=[subset])
+        assert result.hyperplanes_used == ()
+        assert result.point.tolist() == x
 
     def test_empty_hint_is_no_hint(self):
         rng = np.random.default_rng(67)

@@ -256,6 +256,13 @@ class TestRateSplitReference:
         ChannelConfig((1.0, 0.0625) + (1.0,) * 8, 1.0),
         [0.2, 0.022301465548678682] + [0.0] * 7 + [0.25],
     ))
+    # users 3 and 8 merge first, and the pair's elevation falls below user 11's:
+    # sorted by the pair's stale key, it would stay after user 11 and unite as
+    # {11} | {3, 8}, which iterates in another order than {3, 8} | {11}
+    @example((
+        ChannelConfig((1.0, 1.0, 2.1, 1.0, 1.0, 1.0, 1.0, 1.8, 1.0, 1.0, 0.34), 1.0),
+        [0.0, 0.0, 0.34, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.1],
+    ))
     def test_matches_the_reference_to_the_bit(self, problem):
         """Subset, slack, and the decoding order with every float and the
         iteration order of every member set."""
