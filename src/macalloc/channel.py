@@ -31,10 +31,15 @@ def _capacity(snr):
 
 
 def awgn_capacity(power: float, noise: float) -> float:
-    """Single-user AWGN capacity 0.5 * ln(1 + power/noise), in nats."""
-    if not noise > 0.0:
-        raise ValueError(f"noise must be positive, got {noise}")
-    if power < 0.0:
+    """Single-user AWGN capacity 0.5 * ln(1 + power/noise), in nats.
+
+    Raises ValueError on NaN, an infinite noise, a negative power or a noise
+    that is not positive. An infinite power gives an infinite capacity: a
+    power sum of finite powers can overflow to it.
+    """
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"noise must be finite and positive, got {noise}")
+    if not power >= 0.0:
         raise ValueError(f"power must be nonnegative, got {power}")
     return float(_capacity(power / noise))
 
@@ -80,11 +85,12 @@ def _checked_members(config: ChannelConfig, members: Iterable[int]) -> frozenset
     return s
 
 
-def _subset_sum(values, s: frozenset[int]) -> float:
-    """The sum of values[i - 1] over S, added in increasing user order as
-    :func:`subset_sums` adds it, so the two agree to the bit."""
+def _subset_sum(values, users) -> float:
+    """The sum of values[i - 1] over ``users``, given in increasing order and
+    added left to right as :func:`subset_sums` adds it, so the two agree to
+    the bit."""
     total = 0.0
-    for i in sorted(s):
+    for i in users:
         total += values[i - 1]
     return total
 
@@ -97,7 +103,7 @@ def subset_capacity(config: ChannelConfig, members: Iterable[int]) -> float:
     s = _checked_members(config, members)
     if not s:
         return 0.0
-    return awgn_capacity(_subset_sum(config.powers, s), config.noise)
+    return awgn_capacity(_subset_sum(config.powers, sorted(s)), config.noise)
 
 
 def constraint_slack(config: ChannelConfig, rates, members: Iterable[int]) -> float:
@@ -113,7 +119,7 @@ def constraint_slack(config: ChannelConfig, rates, members: Iterable[int]) -> fl
     r = rate_vector(config, rates)
     if not np.isfinite(r).all():
         raise ValueError("rates must be finite")
-    return subset_capacity(config, s) - _subset_sum(r.tolist(), s)
+    return subset_capacity(config, s) - _subset_sum(r.tolist(), sorted(s))
 
 
 def subset_sums(values) -> np.ndarray:

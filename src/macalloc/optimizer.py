@@ -11,6 +11,7 @@ violation count by enumeration for diagnosing any point at small M.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,6 +26,17 @@ from .channel import (
 )
 from .projection import ViolationFinder, approximate_projection, rate_split_finder
 from .utility import Utility
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, through ``operator.index``: numpy integers
+    pass; bools, floats and anything else raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +78,19 @@ StepsizeRule = ConstantStep | DiminishingStep
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Iteration budget and the stall test on the running best value."""
+    """Iteration budget and the stall test on the running best value.
+
+    ``max_iters`` and ``window`` must be integers (numpy integers pass, bools
+    do not) and are stored as Python ints.
+    """
 
     max_iters: int = 100_000
     tol: float = 1e-12
     window: int = 50
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
+        object.__setattr__(self, "window", _integer(self.window, "window"))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.tol > 0:
@@ -143,9 +161,10 @@ def greedy_vertex(config: ChannelConfig, order) -> np.ndarray:
     Telescoping the subset capacities along a permutation yields the rate
     point achieved by successive cancellation in that order; the rates sum to
     the full sum-rate capacity exactly. Enumerating all M! orders gives the
-    brute-force optimum for linear utilities.
+    brute-force optimum for linear utilities. Raises ValueError unless
+    ``order`` is a permutation of the integers 1..M.
     """
-    seq = [int(i) for i in order]
+    seq = [_integer(i, "user index") for i in order]
     if sorted(seq) != list(range(1, config.num_users + 1)):
         raise ValueError(f"not a permutation of 1..{config.num_users}: {order}")
     rates = np.zeros(config.num_users)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .channel import ChannelConfig, subset_capacity
+from .channel import ChannelConfig, _subset_sum, awgn_capacity
 from .violations import rate_split_finder
 
 # A violation finder maps (config, rates >= 0) to a violated subset or None.
@@ -96,6 +96,11 @@ class _Hyperplane(frozenset):
     order, so that re-testing it as a hint costs only the comparison and the
     projection. Its members index the working point, which keeps an unused
     slot 0. Pickles as the plain frozenset.
+
+    The members are sorted once: the range check reads the two ends, and the
+    power sum adds over the sorted tuple with the sum
+    :func:`~macalloc.channel.subset_capacity` uses, so the level equals that
+    capacity to the bit.
     """
 
     __slots__ = ("config", "level", "users")
@@ -103,8 +108,14 @@ class _Hyperplane(frozenset):
     def __new__(cls, config: ChannelConfig, members: Iterable[int]):
         self = super().__new__(cls, members)
         self.config = config
-        self.level = subset_capacity(config, self)  # ValueError on a user outside 1..M
-        self.users = tuple(sorted(self))
+        self.users = users = tuple(sorted(self))
+        self.level = 0.0
+        if users:
+            m = config.num_users
+            for i in (users[0], users[-1]):
+                if not 1 <= i <= m:
+                    raise ValueError(f"user index {i} out of range 1..{m}")
+            self.level = awgn_capacity(_subset_sum(config.powers, users), config.noise)
         return self
 
     def __reduce__(self):

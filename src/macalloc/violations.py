@@ -9,17 +9,17 @@ the merged hyper-user's elevation changes. A (hyper-)user with negative
 elevation carries more rate than its joint capacity, which names a violated
 constraint of the original configuration; if no overlap remains, the sorted
 users certify decodability by successive cancellation. A merge fills the
-lower of its two fixed slots, and each round re-sorts the last round's order
-by one (elevation, slot) key per slot, built once; a merge rebuilds only its
-own slot's key. O(M^2 log M) at worst, with no enumeration of the 2**M - 1
-constraints.
+lower of its two fixed slots, and each later round re-sorts the last round's
+order by one (elevation, slot) key per slot, built at the first merge; a
+merge after that rebuilds only its own slot's key. O(M^2 log M) at worst,
+with no enumeration of the 2**M - 1 constraints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise
 
 from .channel import ChannelConfig, constraint_slack, rate_vector
 
@@ -39,13 +39,16 @@ def elevation(power: float, rate: float, noise: float) -> float:
     Inverting the capacity formula gives d = power / (e**(2*rate) - 1) - noise.
     A zero rate returns +inf (a silent message tolerates anything); a negative
     result means the rate exceeds even the interference-free capacity.
+    Raises ValueError on NaN, an infinite rate or noise, a power or noise that
+    is not positive, or a negative rate; an infinite power (an overflowed
+    power sum) is allowed.
     """
     if not power > 0.0:
         raise ValueError(f"power must be positive, got {power}")
-    if not noise > 0.0:
-        raise ValueError(f"noise must be positive, got {noise}")
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    if not 0.0 < noise < math.inf:
+        raise ValueError(f"noise must be finite and positive, got {noise}")
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
     return _elevation(power, rate, noise)
 
 
@@ -100,55 +103,69 @@ def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
     merges. Raises ValueError unless the rates are finite and nonnegative.
     """
     found = _split(config, rates)
-    if isinstance(found, Feasible):
-        return found
-    return Violated(found, constraint_slack(config, rates, found))
+    if isinstance(found, frozenset):
+        return Violated(found, constraint_slack(config, rates, found))
+    order, p, r, d, members = found
+    return Feasible(tuple(SpinOffUser(p[j], r[j], d[j], members[j] or frozenset({j + 1})) for j in order))
 
 
 def rate_split_finder(config: ChannelConfig, rates) -> frozenset[int] | None:
     """Violation finder backed by the recursion (scales in M): the subset
     :func:`rate_split_analyze` reports, or None where it certifies feasibility."""
     found = _split(config, rates)
-    return None if isinstance(found, Feasible) else found
+    return found if isinstance(found, frozenset) else None
 
 
-def _split(config: ChannelConfig, rates) -> frozenset[int] | Feasible:
-    """The recursion behind both entry points: a violated subset or the certificate.
+def _split(config: ChannelConfig, rates) -> frozenset[int] | tuple:
+    """The recursion behind both entry points: a violated subset, or the final
+    state ``(order, powers, rates, elevations, members)`` by slot, from which
+    :func:`rate_split_analyze` builds the certificate.
 
-    The finder needs no slack, so none is computed here, and the per-user
-    member sets are built only when no single user is over its capacity.
+    ``members[j]`` is the member set of slot j once it has merged, and None
+    while slot j is still the single user j + 1. The finder needs no slack
+    and no certificate, so neither is built here.
     """
     r_in = rate_vector(config, rates)
-    if not ((r_in >= 0.0) & (r_in < math.inf)).all():
+    if not (r_in.min() >= 0.0 and r_in.max() < math.inf):  # NaN fails both
         raise ValueError("rates must be finite and nonnegative")
 
     noise = config.noise
     tol = OVERLAP_TOL * noise
     p = list(config.powers)
     r = r_in.tolist()
-    d = list(map(_elevation, p, r, repeat(noise)))
+    expm1 = math.expm1
+    # _elevation's three branches, inline
+    d = [
+        math.inf if x == 0.0 else -noise if x > _RATE_OVERFLOW else q / expm1(2.0 * x) - noise
+        for q, x in zip(p, r)
+    ]
     lowest = min(d)
     if lowest < -tol:
         return frozenset({d.index(lowest) + 1})
-    members = [frozenset({i}) for i in range(1, len(p) + 1)]
-    order = list(range(len(p)))  # slot j holds the group whose smallest user is j + 1
-    keys = list(zip(d, order))  # slot j's sort key (d[j], j); only a merge changes one
+    # slot j holds the group whose smallest user is j + 1; the stable sort
+    # keeps tied elevations in slot order, the (elevation, slot) order
+    order = sorted(range(len(p)), key=d.__getitem__)
+    members: list[frozenset[int] | None] = [None] * len(p)
+    keys = None  # slot j's sort key (d[j], j); only a merge changes one
 
     while True:
-        order.sort(key=keys.__getitem__)
-        for a, b in zip(order, order[1:]):
+        for a, b in pairwise(order):
             if d[b] < d[a] + p[a] - tol:
                 break
         else:
-            return Feasible(tuple(SpinOffUser(p[j], r[j], d[j], members[j]) for j in order))
+            return order, p, r, d, members
 
         # every other elevation is unchanged and was at least -tol
         s, t = (a, b) if a < b else (b, a)
         p[s] = p[a] + p[b]
         r[s] = r[a] + r[b]
-        members[s] = members[a] | members[b]
+        members[s] = (members[a] or frozenset({a + 1})) | (members[b] or frozenset({b + 1}))
         d[s] = _elevation(p[s], r[s], noise)
         if d[s] < -tol:
             return members[s]
-        keys[s] = (d[s], s)
+        if keys is None:
+            keys = list(zip(d, range(len(d))))
+        else:
+            keys[s] = (d[s], s)
         order.remove(t)
+        order.sort(key=keys.__getitem__)

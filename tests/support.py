@@ -129,7 +129,10 @@ def most_violated_finder(config, rates):
 
 
 def rate_split_reference(config, rates):
-    """``rate_split_analyze`` from its description alone, for rates below 350 nats.
+    """``rate_split_analyze`` from its description alone, for rates below 354
+    nats, past which math.expm1 of twice the rate overflows. Past 350 nats the
+    package saturates an elevation at -noise; at SNRs below about 1e288 this
+    formula rounds to that same value.
 
     Every round sorts all hyper-users by (elevation, smallest original index).
     If the first is below -OVERLAP_TOL * noise, its members are the violated

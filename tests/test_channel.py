@@ -43,6 +43,21 @@ class TestAwgnCapacity:
         with pytest.raises(ValueError):
             awgn_capacity(-0.1, 1.0)
 
+    @pytest.mark.parametrize("power, noise", [
+        (math.nan, 1.0),
+        (1.0, math.nan),
+        (1.0, math.inf),
+        (math.inf, math.inf),
+        (-math.inf, 1.0),
+    ])
+    def test_non_finite_rejected(self, power, noise):
+        with pytest.raises(ValueError):
+            awgn_capacity(power, noise)
+
+    def test_overflowed_power_sum_has_infinite_capacity(self):
+        assert awgn_capacity(math.inf, 1.0) == math.inf
+        assert subset_capacity(ChannelConfig((1e308, 1e308)), {1, 2}) == math.inf
+
     @settings(max_examples=200, deadline=None)
     @given(
         p1=st.floats(0.0, 50.0),

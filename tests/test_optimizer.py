@@ -120,6 +120,14 @@ class TestGreedyVertex:
         with pytest.raises(ValueError):
             greedy_vertex(TWO_USER, (1, 3))
 
+    @pytest.mark.parametrize("order", [(1.7, 2.2), (1.0, 2.0), (True, 2), ("1", "2"), (np.True_, 2)])
+    def test_entries_must_be_integers(self, order):
+        with pytest.raises(ValueError, match="integer"):
+            greedy_vertex(TWO_USER, order)
+
+    def test_numpy_integers_pass(self):
+        assert greedy_vertex(TWO_USER, np.array([2, 1])).tolist() == greedy_vertex(TWO_USER, (2, 1)).tolist()
+
 
 class TestCountViolations:
     def test_feasible_point(self):
@@ -191,6 +199,17 @@ class TestSolveSettings:
             SolveSettings(tol=0.0)
         with pytest.raises(ValueError):
             SolveSettings(window=0)
+
+    @pytest.mark.parametrize("field", ["max_iters", "window"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, np.float64(2.0)])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            SolveSettings(**{field: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        settings = SolveSettings(max_iters=np.int64(3), window=np.int32(2))
+        assert type(settings.max_iters) is int and settings.max_iters == 3
+        assert type(settings.window) is int and settings.window == 2
 
 
 class TestSolve:

@@ -268,10 +268,12 @@ class TestHint:
         with pytest.raises(RuntimeError, match="twice"):
             approximate_projection(TWO_USER, [0.5, 0.0], finder=always_user_1, hint=({1},))
 
-    @pytest.mark.parametrize("user", [0, 3])
+    @pytest.mark.parametrize("user", [0, 3, -1])
     def test_out_of_range_hint_rejected(self, user):
         with pytest.raises(ValueError, match="out of range"):
             approximate_projection(TWO_USER, [0.5, 0.5], hint=({1, user},))
+        with pytest.raises(ValueError, match="out of range"):
+            approximate_projection(TWO_USER, [0.5, 0.5], hint=({user},))
 
     def test_hint_load_adds_in_user_order(self):
         # {1, 2, 8} iterates as 8, 1, 2; (x1 + x2) + x8 is the capacity to the
@@ -325,6 +327,20 @@ class TestCarriedLevels:
         assert any(4 in s for s in used)
         with pytest.raises(ValueError, match="out of range"):
             approximate_projection(ChannelConfig((0.6, 1.1, 1.7)), [1.0, 1.0, 1.0], hint=used)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_levels_are_the_subset_capacities_to_the_bit(self, data):
+        """1 to 40 users with SNRs in [0.5, 2] at noise 1e-9..1e9, and a point
+        0.5 to 3 times the sum-rate bound along a random direction."""
+        m = data.draw(st.integers(1, 40), label="m")
+        noise = 10.0 ** data.draw(st.floats(-9.0, 9.0), label="log10 noise")
+        snrs = data.draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m), label="snrs")
+        cfg = ChannelConfig(tuple(noise * x for x in snrs), noise)
+        direction = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m), label="direction"))
+        scale = data.draw(st.floats(0.5, 3.0), label="scale") * subset_capacity(cfg, range(1, m + 1))
+        for plane in approximate_projection(cfg, direction * (scale / direction.sum())).hyperplanes_used:
+            assert plane.level == subset_capacity(cfg, plane)
 
     def test_hyperplanes_are_plain_frozensets(self):
         for s in self._used()[1]:

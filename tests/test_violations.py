@@ -7,9 +7,11 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import macalloc.violations as violations
 from macalloc import (
     ChannelConfig,
     Feasible,
+    SpinOffUser,
     Violated,
     awgn_capacity,
     constraint_slack,
@@ -134,6 +136,23 @@ class TestElevation:
             elevation(0.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             elevation(1.0, -0.1, 1.0)
+
+    @pytest.mark.parametrize("power, rate, noise", [
+        (math.nan, 0.5, 1.0),
+        (1.0, math.nan, 1.0),
+        (1.0, 0.5, math.nan),
+        (1.0, math.inf, 1.0),
+        (1.0, -math.inf, 1.0),
+        (1.0, 0.5, math.inf),
+        (-math.inf, 0.5, 1.0),
+    ])
+    def test_non_finite_rejected(self, power, rate, noise):
+        with pytest.raises(ValueError):
+            elevation(power, rate, noise)
+
+    def test_infinite_power_is_allowed(self):
+        # a merged hyper-user's power sum can overflow to inf
+        assert elevation(math.inf, 0.5, 1.0) == math.inf
 
     def test_huge_rate_saturates(self):
         assert elevation(1.0, 400.0, 2.0) == -2.0
@@ -263,6 +282,14 @@ class TestRateSplitReference:
         ChannelConfig((1.0, 1.0, 2.1, 1.0, 1.0, 1.0, 1.0, 1.8, 1.0, 1.0, 0.34), 1.0),
         [0.0, 0.0, 0.34, 0.0, 0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.1],
     ))
+    # the first sort alone decides these. Six slots tie at one elevation, and
+    # any two of them are over their bound: the first two in slot order merge
+    @example((ChannelConfig((1.0,) * 6, 1.0), [0.3] * 6))
+    # users 1, 3 (rate -0.0), 4 and 5 tie at elevation +inf and nothing
+    # merges, so they end the certificate in slot order
+    @example((ChannelConfig((1.0,) * 5, 1.0), [0.0, 0.34, -0.0, 0.0, 0.0]))
+    # users 3 and 5 saturate at elevation -noise, and the smaller slot wins
+    @example((ChannelConfig((1.0,) * 5, 1.0), [0.1, 0.0, 351.0, -0.0, 352.0]))
     def test_matches_the_reference_to_the_bit(self, problem):
         """Subset, slack, and the decoding order with every float and the
         iteration order of every member set."""
@@ -271,6 +298,27 @@ class TestRateSplitReference:
         assert repr(report) == repr(rate_split_reference(cfg, rates))
         groups = [report.subset] if isinstance(report, Violated) else [u.members for u in report.decoding_order]
         event(f"{type(report).__name__}, largest group {'1' if max(map(len, groups)) == 1 else '> 1'}")
+
+
+class TestFinderBuildsNoCertificate:
+    def test_only_the_analysis_builds_spin_off_users(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return SpinOffUser(*args)
+
+        monkeypatch.setattr(violations, "SpinOffUser", counting)
+        rng = np.random.default_rng(53)
+        cfg = ChannelConfig(tuple(rng.uniform(0.5, 2.0, 50)), 1.0)
+        point = _between_vertices(cfg, 0.4, rng.permutation(50) + 1, rng.permutation(50) + 1, 0.97,
+                                  rng.uniform(size=50) < 0.2)
+        assert rate_split_finder(cfg, point) is None
+        assert built == []
+        report = rate_split_analyze(cfg, point)
+        assert isinstance(report, Feasible)
+        assert 1 < len(report.decoding_order) < 50
+        assert len(built) == len(report.decoding_order)
 
 
 class TestRateSplitSoundness:
@@ -383,6 +431,11 @@ class TestRateSplitSoundness:
         ChannelConfig((888340993.8571501, 1132223368.1089017, 999770248.4638236), 1e9),
         [0.2945051634002114, 0.3501069062672258, 0.0],
     ))
+    # ties at one finite elevation and at +inf (rates -0.0 and 0.0)
+    @example((ChannelConfig((1.0,) * 6, 1.0), [0.3] * 6))
+    @example((ChannelConfig((1.0,) * 5, 1.0), [0.0, 0.34, -0.0, 0.0, 0.0]))
+    # saturated elevations, past where math.expm1 of twice the rate overflows
+    @example((ChannelConfig((1.0,) * 5, 1.0), [0.1, 0.0, 351.0, -0.0, 400.0]))
     def test_finder_names_the_reported_subset(self, problem):
         """The finder and the report leave the shared recursion by different
         exits, so the finder must return exactly the report's subset, or None
