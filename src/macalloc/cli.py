@@ -55,7 +55,10 @@ def _fmt(x: float) -> str:
 def _expect_number(raw, where: str, positive: bool = False, nonneg: bool = False) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ProblemFileError(f"{where}: expected a number, got {raw!r}")
-    x = float(raw)
+    try:
+        x = float(raw)
+    except OverflowError:  # an integer past the largest float
+        x = math.inf
     if not math.isfinite(x):
         raise ProblemFileError(f"{where}: must be finite")
     if positive and not x > 0:

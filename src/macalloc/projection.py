@@ -29,16 +29,6 @@ class ProjectionResult:
     hyperplanes_used: tuple[frozenset[int], ...]
 
 
-# Largest ratio of a subset's top coordinate to its level at which the plain
-# shift x = y - theta is used; theta ~ top then rounds by at most about 1e-12
-# of the level. Above it that rounding swamps the level (from 1e16 times it
-# the level is lost entirely), so the shift is taken from the gaps below top.
-# Below it both forms are accurate but round differently, and the rate-split
-# finder breaks ties between users at their capacities by such differences,
-# so ordinary steps keep the plain shift and the results they always had.
-_PLAIN_SHIFT_RATIO = 1e4
-
-
 def _capped_projection(y: list[float], idx: Iterable[int], vals: list[float], level: float) -> None:
     """Exact projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in place.
 
@@ -53,26 +43,15 @@ def _capped_projection(y: list[float], idx: Iterable[int], vals: list[float], le
     guarantees a constraint never re-violates once projected, so each subset
     is used at most once.
 
-    Past ``_PLAIN_SHIFT_RATIO`` the arithmetic runs on the gaps below the
-    largest coordinate, top - y_i, and on t = top - theta, never on theta
-    itself. A kept gap is below the level, so it is exact (Sterbenz) there,
-    and the result's rounding error is relative to the level, not to the
-    coordinates, at any finite magnitude. The kept coordinates are a prefix
-    of the descending order, and the largest is always kept.
+    The arithmetic runs on the gaps below the largest coordinate, top - y_i,
+    and on t = top - theta, never on theta itself. A kept gap is below the
+    level, so it is exact (Sterbenz) there, and the result's rounding error is
+    relative to the level, not to the coordinates, at any finite magnitude.
+    The kept coordinates are a prefix of the descending order, and the
+    largest is always kept.
     """
     desc = sorted(vals, reverse=True)
     top = desc[0]
-    if top <= _PLAIN_SHIFT_RATIO * level:
-        csum = 0.0
-        for k, v in enumerate(desc, 1):
-            csum += v
-            candidate = (csum - level) / k
-            if v - candidate > 0.0:
-                theta = candidate
-        for i, v in zip(idx, vals):
-            x = v - theta
-            y[i] = x if x > 0.0 else 0.0
-        return
     t = level  # top - theta with only the largest coordinate kept
     shift = 0.0  # sum of the kept coordinates' gaps
     kept = 1

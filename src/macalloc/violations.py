@@ -8,11 +8,13 @@ the summed power and rate, and the next round runs on one user fewer. Only
 the merged hyper-user's elevation changes. A (hyper-)user with negative
 elevation carries more rate than its joint capacity, which names a violated
 constraint of the original configuration; if no overlap remains, the sorted
-users certify decodability by successive cancellation. A merge fills the
-lower of its two fixed slots, and each later round re-sorts the last round's
-order by one (elevation, slot) key per slot, built at the first merge; a
-merge after that rebuilds only its own slot's key. O(M^2 log M) at worst,
-with no enumeration of the 2**M - 1 constraints.
+users certify decodability by successive cancellation. Users sort by their
+elevation's band (see OVERLAP_TOL), then by slot, while the overlap and
+violation tests compare exact elevations. A merge fills the lower of its two
+fixed slots, and each later round re-sorts the last round's order by one
+(band, slot) key per slot, built at the first merge; a merge after that
+rebuilds only its own slot's key. O(M^2 log M) at worst, with no enumeration
+of the 2**M - 1 constraints.
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ from itertools import pairwise
 from .channel import ChannelConfig, constraint_slack, rate_vector
 
 # Tolerance on elevations for overlap / violation decisions, relative to the
-# noise: elevations are in units of power, so the band scales with the noise.
-# Points within the band around a constraint boundary may be classified
-# either way.
+# noise: elevations are in units of power, so it scales with the noise.
+# Points within it of a constraint boundary may be classified either way.
+# Users order by band, so that elevations a few ulps apart order alike. The
+# band of elevation d is the float d / noise + 1.5 * 2**52 * g, g = 2**-29
+# the power of two in (OVERLAP_TOL, 2 * OVERLAP_TOL]: d / noise rounded to a
+# multiple of g (ties to even) while |d / noise| < 2**51 * g, coarser above,
+# and +inf for +inf. It never decreases as d grows.
 OVERLAP_TOL = 1e-9
+_BAND_SNAP = math.ldexp(1.5, 52 + math.frexp(OVERLAP_TOL)[1])
 
 # Beyond this rate expm1 overflows; the elevation is -noise to double precision.
 _RATE_OVERFLOW = 350.0
@@ -73,7 +80,7 @@ class SpinOffUser:
 
 @dataclass(frozen=True)
 class Feasible:
-    """Certificate of feasibility: spin-off users sorted by ascending elevation.
+    """Certificate of feasibility: spin-off users sorted by ascending band.
 
     Successive cancellation decodes them from the end of the list backwards;
     each user's elevation covers the total power of the users listed before it.
@@ -96,11 +103,12 @@ ViolationReport = Feasible | Violated
 def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
     """Classify a rate point by the merging recursion described above.
 
-    Deterministic: the most negative elevation wins (ties by smallest original
-    index), and the lowest-elevation overlapping adjacent pair merges first.
-    Elevations are compared with a margin of OVERLAP_TOL times the noise, so
-    the decisions depend only on the SNRs. Terminates after at most M - 1
-    merges. Raises ValueError unless the rates are finite and nonnegative.
+    Deterministic: hyper-users order by (band, smallest original index); the
+    first user in that order whose elevation is negative is reported, and the
+    first overlapping adjacent pair merges first. Elevations are compared
+    with a margin of OVERLAP_TOL times the noise, so the decisions depend
+    only on the SNRs. Terminates after at most M - 1 merges. Raises
+    ValueError unless the rates are finite and nonnegative.
     """
     found = _split(config, rates)
     if isinstance(found, frozenset):
@@ -139,14 +147,14 @@ def _split(config: ChannelConfig, rates) -> frozenset[int] | tuple:
         math.inf if x == 0.0 else -noise if x > _RATE_OVERFLOW else q / expm1(2.0 * x) - noise
         for q, x in zip(p, r)
     ]
-    lowest = min(d)
-    if lowest < -tol:
-        return frozenset({d.index(lowest) + 1})
+    band = [x / noise + _BAND_SNAP for x in d]
+    if min(d) < -tol:
+        return frozenset({min((j for j, x in enumerate(d) if x < -tol), key=band.__getitem__) + 1})
     # slot j holds the group whose smallest user is j + 1; the stable sort
-    # keeps tied elevations in slot order, the (elevation, slot) order
-    order = sorted(range(len(p)), key=d.__getitem__)
+    # keeps tied bands in slot order, the (band, slot) order
+    order = sorted(range(len(p)), key=band.__getitem__)
     members: list[frozenset[int] | None] = [None] * len(p)
-    keys = None  # slot j's sort key (d[j], j); only a merge changes one
+    keys = None  # slot j's sort key (band[j], j); only a merge changes one
 
     while True:
         for a, b in pairwise(order):
@@ -164,8 +172,7 @@ def _split(config: ChannelConfig, rates) -> frozenset[int] | tuple:
         if d[s] < -tol:
             return members[s]
         if keys is None:
-            keys = list(zip(d, range(len(d))))
-        else:
-            keys[s] = (d[s], s)
+            keys = list(zip(band, range(len(d))))
+        keys[s] = (d[s] / noise + _BAND_SNAP, s)
         order.remove(t)
         order.sort(key=keys.__getitem__)

@@ -8,7 +8,9 @@ most-violated finder, the plain hyperplane projection, the numpy floored
 projection and the from-scratch hinted projection are the references that
 the package's rate-splitting finder, floored projection and hint pass are
 checked against; the from-scratch rate splitting checks the package's to the
-bit, tie-breaks included.
+bit, tie-breaks included. The plain-shift floored projection is the other
+arithmetic form of the same projection, which the trace baseline must not
+depend on.
 """
 
 import itertools
@@ -134,16 +136,23 @@ def rate_split_reference(config, rates):
     package saturates an elevation at -noise; at SNRs below about 1e288 this
     formula rounds to that same value.
 
-    Every round sorts all hyper-users by (elevation, smallest original index).
-    If the first is below -OVERLAP_TOL * noise, its members are the violated
-    subset. Otherwise the first adjacent pair whose lower rectangle reaches
-    into the upper one merges: summed power and rate, the lower hyper-user's
-    members united with the upper's. With no such pair, the sorted hyper-users
-    are the certificate. The slack is 0.5 * log1p(power sum / noise) minus the
-    rate sum, both sums in increasing user order.
+    Every round sorts all hyper-users by (band, smallest original index). The
+    band of elevation e is the float (e / noise) + 1.5 * 2**52 * g, g the
+    power of two in (OVERLAP_TOL, 2 * OVERLAP_TOL]. If any elevation is below
+    -OVERLAP_TOL * noise, the members of the first such hyper-user are the
+    violated subset. Otherwise the first adjacent pair whose lower rectangle
+    reaches into the upper one, by the exact elevations, merges: summed power
+    and rate, the lower hyper-user's members united with the upper's. With no
+    such pair, the sorted hyper-users are the certificate. The slack is
+    0.5 * log1p(power sum / noise) minus the rate sum, both sums in increasing
+    user order.
     """
     noise = config.noise
     tol = OVERLAP_TOL * noise
+    g = 1.0
+    while g / 2.0 > OVERLAP_TOL:
+        g /= 2.0
+    snap = 1.5 * 2.0**52 * g
 
     def hyper_user(power, rate, members):
         elevation = power / math.expm1(2.0 * rate) - noise if rate > 0.0 else math.inf
@@ -152,9 +161,10 @@ def rate_split_reference(config, rates):
     rates = [float(x) for x in rates]
     users = [hyper_user(p, x, frozenset({i})) for i, (p, x) in enumerate(zip(config.powers, rates), 1)]
     while True:
-        users.sort(key=lambda u: (u.elevation, min(u.members)))
-        if users[0].elevation < -tol:
-            subset = users[0].members
+        users.sort(key=lambda u: (u.elevation / noise + snap, min(u.members)))
+        violated = [u for u in users if u.elevation < -tol]
+        if violated:
+            subset = violated[0].members
             power = sum(config.powers[i - 1] for i in sorted(subset))
             load = sum(rates[i - 1] for i in sorted(subset))
             return Violated(subset, 0.5 * float(np.log1p(power / noise)) - load)
@@ -189,19 +199,49 @@ def capped_projection(point, idx, vals, level: float) -> np.ndarray:
     """Projection of a nonnegative point onto {sum_S x <= level, x_S >= 0}, in numpy.
 
     ``vals`` is ``point[idx]`` and sums to more than ``level``. Returns a copy
-    with x_i = max(y_i - theta, 0) on S, theta taken from the descending sort's
-    running sums. The reference the package's in-place Python version must
-    match bit for bit.
+    with x_i = max(y_i - theta, 0) on S in the gap form. With top the largest
+    value, the (k + 1)-th largest is kept, in turn, while the quotient
+    (level + the running sum of the gaps top - y of the 2nd to (k + 1)-th) /
+    (k + 1) exceeds its own gap; t = top - theta is the last kept quotient
+    (level if only top is kept), and x_i = t - (top - y_i). The reference the
+    package's in-place Python version must match bit for bit.
     """
     desc = np.sort(vals)[::-1]
-    csum = np.cumsum(desc)
-    counts = np.arange(1, len(desc) + 1)
-    theta_cand = (csum - level) / counts
-    rho = int(np.nonzero(desc - theta_cand > 0.0)[0][-1])
-    theta = theta_cand[rho]
+    top = desc[0]
+    gaps = top - desc[1:]
+    candidates = (level + np.cumsum(gaps)) / np.arange(2, len(desc) + 1)
+    stops = candidates <= gaps
+    kept = int(np.argmax(stops)) if stops.any() else len(gaps)  # besides the largest
+    t = candidates[kept - 1] if kept else level
+    x = t - (top - np.asarray(vals, dtype=float))
     out = np.array(point, dtype=float)
-    out[idx] = np.maximum(vals - theta, 0.0)
+    out[idx] = np.where(x > 0.0, x, 0.0)
     return out
+
+
+def plain_capped_projection(point, idx, vals, level: float) -> np.ndarray:
+    """:func:`capped_projection` as the plain shift x_i = max(y_i - theta, 0),
+    with theta taken from the descending sort's running sums. Accurate while
+    the largest value is within about 1e4 times the level, but rounded
+    differently from the gap form."""
+    desc = np.sort(vals)[::-1]
+    theta_cand = (np.cumsum(desc) - level) / np.arange(1, len(desc) + 1)
+    rho = int(np.nonzero(desc - theta_cand > 0.0)[0][-1])
+    out = np.array(point, dtype=float)
+    out[idx] = np.maximum(vals - theta_cand[rho], 0.0)
+    return out
+
+
+def in_place(form):
+    """A numpy floored projection such as :func:`capped_projection` with the
+    in-place signature of ``macalloc.projection._capped_projection``, for
+    putting it in the package's place."""
+    def project(y, idx, vals, level):
+        idx = list(idx)
+        out = form(np.array(y), idx, np.array(vals), level)
+        for i in idx:
+            y[i] = float(out[i])
+    return project
 
 
 def hinted_projection(config, point, hint) -> tuple[np.ndarray, list[frozenset[int]]]:
@@ -213,8 +253,7 @@ def hinted_projection(config, point, hint) -> tuple[np.ndarray, list[frozenset[i
     slack is negative and it is not yet used (an empty one never is); then
     ``rate_split_finder`` is asked until it returns None. Returns the point
     and the subsets projected onto, in order. The reference for the package's
-    carried levels and its working point of Python floats; valid where the
-    package keeps the plain shift (top coordinate at most 1e4 times the level).
+    carried levels and its working point of Python floats.
     """
     y = np.maximum(np.array(point, dtype=float), 0.0)
     used = []

@@ -198,6 +198,17 @@ class TestProblemFileValidation:
         assert main(["region", path]) == 2
         assert "powers[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, where", [
+        ({"powers": [1.0, 10**400]}, "powers[1]"),
+        ({"noise": -(10**400)}, "noise"),
+        ({"tol": 10**400}, "tol"),
+    ])
+    def test_oversized_integer_is_not_finite(self, problem_file, capsys, field, where):
+        """A 401-digit integer has no float; it is reported like an infinity."""
+        path = problem_file({**PINNED_PROBLEM, **field})
+        assert main(["check", path, "--rate", "0.1", "--rate", "0.1"]) == 2
+        assert capsys.readouterr().err == f"{path}: {where}: must be finite\n"
+
     def test_wrong_weight_arity(self, problem_file, capsys):
         path = problem_file({"powers": [1.0, 1.0], "noise": 1.0,
                              "utility": {"type": "linear", "weights": [1.0]}})

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import macalloc.optimizer as optimizer
 from macalloc import (
@@ -44,6 +46,27 @@ class TestExpansionDelta:
 
     def test_single_user_is_infinite(self):
         assert expansion_delta(ChannelConfig((1.0,), 1.0)) == math.inf
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=8), st.floats(-300.0, 300.0))
+    # powers (1, 2, 0.5) times the noise, whose power products overflow or
+    # underflow; the cap, about 0.0052, binds at the first step
+    @example([1.0, 2.0, 0.5], -200.0)
+    @example([1.0, 2.0, 0.5], 160.0)
+    @example([1.0, 2.0, 0.5], 200.0)
+    def test_depends_on_the_snrs_alone(self, snrs, log10_noise):
+        """2 to 8 SNRs in [0.5, 2] at noise 1e-300..1e300: delta is the
+        noise-1 value to rtol 1e-12, and capped solve steps never exceed
+        alpha_max."""
+        noise = 10.0**log10_noise
+        cfg = ChannelConfig(tuple(noise * x for x in snrs), noise)
+        assert expansion_delta(cfg) == pytest.approx(expansion_delta(ChannelConfig(snrs, 1.0)), rel=1e-12, abs=0.0)
+        utility = WeightedLogUtility(np.ones(len(snrs)), epsilon=0.1)
+        cap = alpha_max(cfg, utility.bound())
+        budget = SolveSettings(max_iters=5, tol=1e-18, window=6)
+        _, trace = solve(cfg, utility, DiminishingStep(0.1, capped=True), budget)
+        assert trace.stepsizes[1] == cap
+        assert (trace.stepsizes[1:] <= cap).all()
 
     def test_bounds_half_the_submodularity_gap(self):
         """delta never exceeds (f(S) + f(T) - f(S&T) - f(S|T)) / 2 for crossing S, T."""

@@ -1,9 +1,10 @@
 import math
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from macalloc import (
@@ -68,36 +69,64 @@ class TestHyperplaneProjection:
             project_onto_hyperplane([1.0, 1.0], set(), 1.0)
 
 
+def _capped_case(y, members, level) -> str:
+    """Check the floored projection of ``y`` onto {sum over members <= level}
+    and name the case. It is support's numpy gap form to the bit, signs of
+    zeros included, and the exact rational projection to 1e-11 of the level.
+    Without a coordinate at the zero floor ("plain") it is the plain
+    hyperplane projection; with one ("floored") it still lands on the
+    hyperplane and only lowers the subset's coordinates."""
+    y = np.asarray(y, dtype=float)
+    idx = np.asarray(members) - 1
+    out = y.copy()
+    _capped_projection(out, idx.tolist(), y[idx].tolist(), level)
+    numpy_version = capped_projection(y, idx, y[idx], level)
+    np.testing.assert_array_equal(out, numpy_version)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(numpy_version))
+    exact = exact_capped_projection(y[idx].tolist(), level)
+    assert max(abs(x - float(e)) for x, e in zip(out[idx], exact)) <= 1e-11 * level
+    reference = project_onto_hyperplane(y, members, level)
+    if (reference >= 0.0).all():
+        np.testing.assert_allclose(out, reference, rtol=0.0, atol=1e-14)
+        return "plain"
+    assert (out >= 0.0).all() and (out <= y).all()
+    assert out[idx].sum() == pytest.approx(level, abs=1e-12)
+    outside = np.setdiff1d(np.arange(len(y)), idx)
+    np.testing.assert_array_equal(out[outside], y[outside])
+    return "floored"
+
+
+@st.composite
+def capped_problems(draw):
+    """1 to 8 coordinates in [0, 1], a nonempty subset of them, and a level
+    0.001 to 0.999 times the subset's sum."""
+    m = draw(st.integers(1, 8), label="m")
+    y = draw(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=m, max_size=m), label="y")
+    members = sorted(draw(st.sets(st.integers(1, m), min_size=1), label="members"))
+    level = draw(st.floats(0.001, 0.999), label="fraction") * sum(y[i - 1] for i in members)
+    assume(sum(y[i - 1] for i in members) > level)
+    return y, members, level
+
+
 class TestCappedProjection:
-    def test_is_the_hyperplane_projection_unless_floored(self):
-        """Without a coordinate at the zero floor the capped projection is the
-        plain hyperplane projection; with one, it still lands on the hyperplane
-        and only lowers the subset's coordinates. Either way it is support's
-        numpy version to the bit, signs of zeros included."""
+    @settings(max_examples=400, deadline=None)
+    @given(capped_problems())
+    def test_is_the_hyperplane_projection_unless_floored(self, problem):
+        """See _capped_case."""
+        event(_capped_case(*problem))
+
+    def test_takes_both_cases(self):
+        """The same check on 400 seeded draws, of which at least 50 are plain
+        and at least 50 floored."""
         rng = np.random.default_rng(61)
-        plain = floored = 0
+        cases = Counter()
         for _ in range(400):
             m = int(rng.integers(1, 9))
             y = rng.uniform(0.0, 1.0, m)
             members = sorted(rng.choice(np.arange(1, m + 1), rng.integers(1, m + 1), replace=False).tolist())
-            idx = np.asarray(members) - 1
-            level = float(rng.uniform(0.0, 1.0) * y[idx].sum())
-            out = y.copy()
-            _capped_projection(out, idx.tolist(), y[idx].tolist(), level)
-            numpy_version = capped_projection(y, idx, y[idx], level)
-            np.testing.assert_array_equal(out, numpy_version)
-            np.testing.assert_array_equal(np.signbit(out), np.signbit(numpy_version))
-            reference = project_onto_hyperplane(y, members, level)
-            if (reference >= 0.0).all():
-                np.testing.assert_allclose(out, reference, rtol=0.0, atol=1e-14)
-                plain += 1
-            else:
-                assert (out >= 0.0).all() and (out <= y).all()
-                assert out[idx].sum() == pytest.approx(level, abs=1e-12)
-                outside = np.setdiff1d(np.arange(m), idx)
-                np.testing.assert_array_equal(out[outside], y[outside])
-                floored += 1
-        assert plain >= 50 and floored >= 50
+            level = float(rng.uniform(0.0, 1.0) * y[np.asarray(members) - 1].sum())
+            cases[_capped_case(y, members, level)] += 1
+        assert cases["plain"] >= 50 and cases["floored"] >= 50, cases
 
     def test_matches_exact_arithmetic_at_any_magnitude(self):
         """With the subset's top coordinate from 1 to 1e300 times the level,
@@ -355,13 +384,16 @@ class TestHintedReference:
     def test_matches_the_from_scratch_loop(self, data):
         """Hints drawn as lists, sets and frozensets (repeats included), then
         the result's own hyperplanes as the next hint, as solve passes them:
-        the point and the hyperplane list equal the reference bit for bit."""
+        the point and the hyperplane list equal the reference bit for bit.
+        Points lie up to twice the sum-rate bound, or up to 1e300 times it."""
         m = data.draw(st.integers(1, 10), label="m")
         noise = 10.0 ** data.draw(st.floats(-6.0, 6.0), label="log10 noise")
         powers = data.draw(st.lists(st.floats(0.5, 2.0), min_size=m, max_size=m), label="powers")
         cfg = ChannelConfig(tuple(powers), noise)
         scale = subset_capacity(cfg, range(1, m + 1))
-        point = st.lists(st.floats(-0.2, 2.0), min_size=m, max_size=m).map(lambda u: np.array(u) * scale)
+        magnitude = st.just(1.0) | st.floats(0.0, 300.0).map(lambda e: 10.0**e)
+        point = st.tuples(st.lists(st.floats(-0.2, 2.0), min_size=m, max_size=m), magnitude).map(
+            lambda t: np.array(t[0]) * (scale * t[1]))
         subset = st.tuples(st.sets(st.integers(1, m), max_size=m),
                            st.sampled_from([list, set, frozenset])).map(lambda t: t[1](t[0]))
         hint = data.draw(st.lists(subset, max_size=12), label="hint")

@@ -38,7 +38,14 @@ from macalloc import (
     count_violations,
     solve,
 )
-from support import pre_projection_points, violation_count
+import macalloc.projection as projection
+from support import (
+    capped_projection,
+    in_place,
+    plain_capped_projection,
+    pre_projection_points,
+    violation_count,
+)
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "trace_baseline.json"
 RTOL = 1e-9
@@ -134,14 +141,30 @@ def test_baseline_covers_the_cases(baseline):
     assert FIXTURE.stat().st_size < 200_000
 
 
-@pytest.mark.parametrize("index", range(len(CASES)), ids=[_case_id(c) for c in CASES])
-def test_trace_matches_baseline(baseline, index):
-    expected = baseline[index]["trace"]
-    got = run_case(CASES[index])
+def _assert_matches(got, expected):
     for field in INT_FIELDS:
         assert got[field] == expected[field], field
     for field in FLOAT_FIELDS:
         np.testing.assert_allclose(got[field], expected[field], rtol=RTOL, atol=ATOL, err_msg=field)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[_case_id(c) for c in CASES])
+def test_trace_matches_baseline(baseline, index):
+    _assert_matches(run_case(CASES[index]), baseline[index]["trace"])
+
+
+FORMS = {"gap": capped_projection, "plain": plain_capped_projection}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[_case_id(c) for c in CASES])
+def test_floored_projection_form_does_not_move_the_trace(baseline, index, form, monkeypatch):
+    """The floored projection's two arithmetic forms, support's numpy
+    versions put in the package's place, round differently; rate splitting
+    orders users by tolerance band, so every trace still matches the
+    baseline."""
+    monkeypatch.setattr(projection, "_capped_projection", in_place(FORMS[form]))
+    _assert_matches(run_case(CASES[index]), baseline[index]["trace"])
 
 
 COUNTED = [i for i, c in enumerate(CASES) if c["users"] <= 20]

@@ -290,6 +290,13 @@ class TestRateSplitReference:
     @example((ChannelConfig((1.0,) * 5, 1.0), [0.0, 0.34, -0.0, 0.0, 0.0]))
     # users 3 and 5 saturate at elevation -noise, and the smaller slot wins
     @example((ChannelConfig((1.0,) * 5, 1.0), [0.1, 0.0, 351.0, -0.0, 352.0]))
+    # user 2's elevation lies a few ulps below user 1's, in one band, so user
+    # 1 sorts first and user 3, lowest, merges with it into the violated
+    # {1, 3}; sorted by the exact elevations, {2, 3} would be reported
+    @example((ChannelConfig((1.0,) * 3, 1.0), [0.28, 0.2800000000000001, 0.3]))
+    # both users are over their own capacities, user 2 by a few ulps more, in
+    # one band: the first round names user 1
+    @example((ChannelConfig((1.0, 1.0), 1.0), [0.4, 0.4000000000000001]))
     def test_matches_the_reference_to_the_bit(self, problem):
         """Subset, slack, and the decoding order with every float and the
         iteration order of every member set."""
