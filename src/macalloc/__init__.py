@@ -39,6 +39,7 @@ from .violations import (
     OVERLAP_TOL,
     Feasible,
     SpinOffUser,
+    SplitState,
     Violated,
     ViolationReport,
     elevation,
@@ -57,6 +58,7 @@ __all__ = [
     "ProjectionResult",
     "SolveSettings",
     "SpinOffUser",
+    "SplitState",
     "StepsizeRule",
     "Utility",
     "Violated",

@@ -50,6 +50,8 @@ class ChannelConfig:
 
     Powers must be strictly positive: a zero-power user would force a zero
     rate and produce degenerate elevations in the rate-splitting recursion.
+    The total SNR sum(powers) / noise, summed as the full set's capacity sums
+    it, must be finite, so every subset's SNR is too.
     """
 
     powers: tuple[float, ...]
@@ -65,6 +67,9 @@ class ChannelConfig:
                 raise ValueError(f"power {i + 1} must be finite and > 0, got {p}")
         if not (math.isfinite(self.noise) and self.noise > 0.0):
             raise ValueError(f"noise must be finite and > 0, got {self.noise}")
+        snr = _subset_sum(self.powers, range(1, len(self.powers) + 1)) / self.noise
+        if not math.isfinite(snr):
+            raise ValueError(f"total SNR sum(powers) / noise must be finite, got {snr}")
 
     @property
     def num_users(self) -> int:

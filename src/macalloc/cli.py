@@ -92,7 +92,10 @@ def parse_problem(data, path: str) -> Problem:
     if "noise" not in data:
         raise ProblemFileError(f"{path}: noise: missing")
     noise = _expect_number(data["noise"], f"{path}: noise", positive=True)
-    config = ChannelConfig(tuple(powers), noise)
+    try:
+        config = ChannelConfig(tuple(powers), noise)
+    except ValueError as exc:  # only the total SNR is left to check
+        raise ProblemFileError(f"{path}: {exc}") from exc
     m = config.num_users
 
     uspec = data.get("utility", {"type": "linear", "weights": [1.0] * m})
@@ -147,11 +150,10 @@ def write_trace_csv(trace: IterationTrace, fh) -> None:
     header = ["iter"] + [f"R_{i}" for i in range(1, m + 1)]
     header += ["utility", "stepsize", "grad_norm", "projections"]
     fh.write(",".join(header) + "\n")
-    for k in range(len(trace)):
-        row = [str(k)]
-        row += [_fmt(x) for x in trace.rates[k]]
-        row += [_fmt(trace.utilities[k]), _fmt(trace.stepsizes[k]), _fmt(trace.grad_norms[k])]
-        row.append(str(int(trace.projections[k])))
+    # Python floats from tolist() format as the numpy scalars do, only faster
+    columns = (trace.utilities, trace.stepsizes, trace.grad_norms, trace.projections)
+    for k, (rates, u, a, g, n) in enumerate(zip(trace.rates.tolist(), *(c.tolist() for c in columns))):
+        row = [str(k), *map(_fmt, rates), _fmt(u), _fmt(a), _fmt(g), str(int(n))]
         fh.write(",".join(row) + "\n")
 
 

@@ -133,13 +133,14 @@ def expansion_delta(config: ChannelConfig) -> float:
     with the powers sorted ascending, which lower-bounds half the submodularity
     gap f(S) + f(T) - f(S&T) - f(S|T) over all crossing pairs S, T. Returns
     +inf for a single user (no crossing pair exists).
-    Computed from the SNRs P_i / N0, so no product overflows at any scale.
+    Computed from the SNRs P_i / N0, so no product overflows at any scale,
+    and with the tail summed on its own, so it is never negative.
     """
     if config.num_users < 2:
         return math.inf
     s = sorted(p / config.noise for p in config.powers)
     total = sum(s)
-    tail = total - s[0] - s[1]
+    tail = sum(s[2:])
     return 0.25 * math.log1p(s[0] / (1.0 + tail) * (s[1] / (1.0 + total)))
 
 

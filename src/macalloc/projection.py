@@ -17,10 +17,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .channel import ChannelConfig, _subset_sum, awgn_capacity
-from .violations import rate_split_finder
+from .violations import SplitState, rate_split_finder
 
-# A violation finder maps (config, rates >= 0) to a violated subset or None.
-ViolationFinder = Callable[[ChannelConfig, np.ndarray], "frozenset[int] | None"]
+# A violation finder maps (config, state) to a violated subset or None, the
+# state a SplitState of the current point: np.asarray(state) gives its M
+# rates (>= 0), and rate_split_finder runs only its merge rounds on it.
+ViolationFinder = Callable[[ChannelConfig, SplitState], "frozenset[int] | None"]
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,14 @@ def approximate_projection(
     a hyperplane of another config) has its capacity computed afresh.
 
     The working point is a list of floats for the whole call, indexed by user
-    (slot 0 unused). Each finder call gets an ndarray copy of its coordinates,
-    and the last one, certified, is the result.
+    (slot 0 unused). After the hint pass it gets one :class:`SplitState`: the
+    rates, their elevations and (band, slot) keys, and the first-round order,
+    built once (M elevations). Every finder call receives that state, and
+    after each hyperplane's projection only the hyperplane's members are
+    refreshed (one elevation each) and the order re-sorted. So a call of
+    :func:`rate_split_finder` costs only its merge rounds; a custom finder
+    reads the rates with ``np.asarray(state)``. The certified point is the
+    result.
 
     Every step only decreases coordinates, so a constraint stays satisfied
     once handled and each subset is used at most once. A finder that names a
@@ -167,14 +175,15 @@ def approximate_projection(
             plane = _Hyperplane(config, plane)
         if plane not in used and _project_if_violated(x, plane):
             used[plane] = None
+    state = SplitState._of_floats(config, x[1:])
     while True:
-        y = np.array(x[1:])
-        subset = finder(config, y)
+        subset = finder(config, state)
         if subset is None:
-            return ProjectionResult(y, tuple(used))
+            return ProjectionResult(np.array(x[1:]), tuple(used))
         if subset in used:
             raise RuntimeError(f"finder named subset {sorted(subset)} twice")
         plane = _Hyperplane(config, subset)
         if not _project_if_violated(x, plane):
             raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
+        state._move(plane.users, x)
         used[plane] = None

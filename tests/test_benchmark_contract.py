@@ -43,23 +43,25 @@ def test_solver_workload_calls():
 
 def test_traced_finder_runs_the_untraced_path():
     """perfbench's traced solve passes ``finder=projection.rate_split_finder``
-    (wrapped); that must be the path ``solve`` takes without it."""
+    wrapped in a function that forwards its arguments; that must be the path
+    ``solve`` takes without it, carried state and all."""
     config = macalloc.ChannelConfig((0.6, 1.1, 1.7, 0.9, 2.0), 1.3)
     utility = macalloc.WeightedLogUtility(np.ones(5), epsilon=1e-2)
     settings = macalloc.SolveSettings(max_iters=12, window=13)
-    runs = [
+    finders = (projection.rate_split_finder, lambda c, pt: projection.rate_split_finder(c, pt))
+    (best, trace), *runs = [
         macalloc.solve(config, utility, macalloc.DiminishingStep(0.3), settings, **kwargs)
-        for kwargs in ({}, {"finder": projection.rate_split_finder})
+        for kwargs in ({}, *({"finder": f} for f in finders))
     ]
-    (best, trace), (best_f, trace_f) = runs
     defaults = [inspect.signature(fn).parameters["finder"].default
                 for fn in (macalloc.solve, macalloc.approximate_projection)]
     assert defaults == [projection.rate_split_finder] * 2
     assert int(np.sum(trace.projections)) >= 5
-    assert best.tobytes() == best_f.tobytes()
-    for field in dataclasses.fields(trace):
-        a, b = getattr(trace, field.name), getattr(trace_f, field.name)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+    for best_f, trace_f in runs:
+        assert best.tobytes() == best_f.tobytes()
+        for field in dataclasses.fields(trace):
+            a, b = getattr(trace, field.name), getattr(trace_f, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_solve_calls_the_layers_through_the_optimizer_module(monkeypatch):

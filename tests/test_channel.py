@@ -56,7 +56,7 @@ class TestAwgnCapacity:
 
     def test_overflowed_power_sum_has_infinite_capacity(self):
         assert awgn_capacity(math.inf, 1.0) == math.inf
-        assert subset_capacity(ChannelConfig((1e308, 1e308)), {1, 2}) == math.inf
+        assert awgn_capacity(1e308 + 1e308, 1.0) == math.inf
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -83,6 +83,21 @@ class TestChannelConfig:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ChannelConfig((), 1.0)
+
+    @pytest.mark.parametrize("powers, noise", [
+        ((1e300, 1e300), 1e-10),  # every SNR overflows
+        ((1.0, 1.0), 1e-320),  # a subnormal noise
+        ((1e308, 1e308), 1.0),  # the power sum overflows
+    ])
+    def test_rejects_an_infinite_total_snr(self, powers, noise):
+        """The first two once gave a NaN expansion_delta, so capped steps went
+        uncapped; the third has no finite full-set capacity."""
+        with pytest.raises(ValueError, match="total SNR"):
+            ChannelConfig(powers, noise)
+
+    def test_accepts_a_total_snr_near_the_largest_float(self):
+        top = ChannelConfig((1e308, 7e307), 1.0)
+        assert subset_capacity(top, {1, 2}) < math.inf
 
     def test_coerces_and_hashes(self):
         cfg = ChannelConfig([1, 2], 1)

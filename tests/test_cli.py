@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from macalloc import ChannelConfig, constraint_table, subset_members
-from macalloc.cli import main
+from macalloc.cli import main, write_trace_csv
+from macalloc.optimizer import IterationTrace
 
 PINNED_PROBLEM = {
     "powers": [1.0, 1.0],
@@ -112,6 +114,42 @@ class TestSolveCommand:
         assert main(["solve", pinned, "--trace", str(tmp_path / "no" / "dir.csv")]) == 1
 
 
+def _numpy_scalar_csv(trace) -> str:
+    """The trace CSV with every value formatted as the numpy scalar it is in
+    the trace's arrays, row by row."""
+    m = trace.rates.shape[1]
+    lines = [",".join(["iter", *(f"R_{i}" for i in range(1, m + 1)),
+                       "utility", "stepsize", "grad_norm", "projections"])]
+    for k in range(len(trace)):
+        row = [str(k), *(f"{x:.12g}" for x in trace.rates[k])]
+        row += [f"{trace.utilities[k]:.12g}", f"{trace.stepsizes[k]:.12g}", f"{trace.grad_norms[k]:.12g}"]
+        lines.append(",".join([*row, str(int(trace.projections[k]))]))
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_formats_as_the_numpy_scalars():
+    """write_trace_csv formats Python floats; at the extremes of a float64
+    they print exactly as the numpy scalars do."""
+    extremes = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2, 1.0 / 3.0,
+                123456789012.5, 1e16 + 2.0, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    n = len(extremes)
+    trace = IterationTrace(
+        rates=np.array([extremes[k:] + extremes[:k] for k in range(n)]),
+        utilities=np.array(extremes[::-1]),
+        stepsizes=np.array(extremes[3:] + extremes[:3]),
+        grad_norms=-np.array(extremes),
+        projections=np.array([0, 1, 2**40] + [7] * (n - 3)),
+        best_rates=np.zeros(n),
+        best_utility=0.0,
+        best_iter=0,
+        stop_reason="max_iters",
+    )
+    out = io.StringIO()
+    write_trace_csv(trace, out)
+    assert out.getvalue() == _numpy_scalar_csv(trace)
+    assert "\n0,0,-0,4.94065645841e-324,2.22507385851e-308," in out.getvalue()
+
+
 class TestCheckCommand:
     def test_violated_pair(self, pinned, capsys):
         assert main(["check", pinned, "--rate", "0.3", "--rate", "0.3"]) == 0
@@ -208,6 +246,12 @@ class TestProblemFileValidation:
         path = problem_file({**PINNED_PROBLEM, **field})
         assert main(["check", path, "--rate", "0.1", "--rate", "0.1"]) == 2
         assert capsys.readouterr().err == f"{path}: {where}: must be finite\n"
+
+    @pytest.mark.parametrize("powers, noise", [([1e300, 1e300], 1e-10), ([1.0, 1.0], 1e-320)])
+    def test_infinite_total_snr(self, problem_file, capsys, powers, noise):
+        path = problem_file({**PINNED_PROBLEM, "powers": powers, "noise": noise})
+        assert main(["check", path, "--rate", "0.1", "--rate", "0.1"]) == 2
+        assert capsys.readouterr().err == f"{path}: total SNR sum(powers) / noise must be finite, got inf\n"
 
     def test_wrong_weight_arity(self, problem_file, capsys):
         path = problem_file({"powers": [1.0, 1.0], "noise": 1.0,

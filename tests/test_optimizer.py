@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import macalloc.optimizer as optimizer
@@ -67,6 +67,26 @@ class TestExpansionDelta:
         _, trace = solve(cfg, utility, DiminishingStep(0.1, capped=True), budget)
         assert trace.stepsizes[1] == cap
         assert (trace.stepsizes[1:] <= cap).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=1, max_size=6),
+           st.floats(5e-324, 1.7976931348623157e308))
+    # total - s(1) - s(2) rounds to -128 here, so a tail taken that way makes
+    # delta log1p(-1): a math domain error
+    @example([127.0, 2.0**60], 1.0)
+    @example([1e308, 7e307], 1.0)
+    @example([1e-300, 1e-300], 5e-324)
+    def test_is_finite_for_every_accepted_config(self, powers, noise):
+        """Any config ChannelConfig accepts, down to subnormal noise and up to
+        the largest total SNR, has a finite delta >= 0 and a finite cap."""
+        try:
+            cfg = ChannelConfig(tuple(powers), noise)
+        except ValueError:
+            assume(False)
+        delta = expansion_delta(cfg)
+        assert delta >= 0.0
+        assert math.isfinite(delta) or cfg.num_users == 1
+        assert 0.0 <= alpha_max(cfg, 1.0) < math.inf or cfg.num_users == 1
 
     def test_bounds_half_the_submodularity_gap(self):
         """delta never exceeds (f(S) + f(T) - f(S&T) - f(S|T)) / 2 for crossing S, T."""

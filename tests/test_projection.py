@@ -7,12 +7,19 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+import macalloc.violations as violations
 from macalloc import (
     ChannelConfig,
+    DiminishingStep,
+    LinearUtility,
+    SolveSettings,
+    WeightedLogUtility,
     approximate_projection,
     constraint_slack,
     count_violations,
+    rate_split_analyze,
     rate_split_finder,
+    solve,
     subset_capacity,
 )
 from macalloc.projection import _capped_projection
@@ -271,7 +278,7 @@ class TestHint:
         seen = []
 
         def recording(config, rates):
-            seen.append(rates.copy())
+            seen.append(np.array(rates))
             return rate_split_finder(config, rates)
 
         y = np.array([4.0, 0.21])
@@ -378,6 +385,24 @@ class TestCarriedLevels:
             assert type(pickle.loads(pickle.dumps(s))) is frozenset
 
 
+TIED_POWERS = (0.5, 1.0, 2.0)
+TIED_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 10.0)
+
+
+@st.composite
+def tied_problems(draw):
+    """A config of 1 to 10 users at noise 1 whose powers are all equal or
+    drawn from {0.5, 1, 2}, and one or two points with coordinates from a
+    small grid, so that elevations, bands and loads tie exactly."""
+    m = draw(st.integers(1, 10), label="m")
+    if draw(st.booleans(), label="equal powers"):
+        powers = [draw(st.sampled_from(TIED_POWERS), label="power")] * m
+    else:
+        powers = draw(st.lists(st.sampled_from(TIED_POWERS), min_size=m, max_size=m), label="powers")
+    point = st.lists(st.sampled_from(TIED_GRID), min_size=m, max_size=m)
+    return ChannelConfig(tuple(powers), 1.0), draw(st.lists(point, min_size=1, max_size=2), label="points")
+
+
 class TestHintedReference:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -407,6 +432,87 @@ class TestHintedReference:
             ref_point, ref_used = hinted_projection(cfg, y, h)
             assert result.point.tobytes() == ref_point.tobytes()
             assert list(result.hyperplanes_used) == ref_used
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_problems())
+    # the carried order re-sorted by band alone names {4, 8} where the
+    # from-scratch loop names {1, 2}
+    @example((ChannelConfig((1.0,) * 8, 1.0), [[10.0, 10.0, 1.0, 0.5, 10.0, 10.0, 2.0, 0.5]]))
+    def test_matches_the_from_scratch_loop_on_ties(self, problem):
+        """Tied powers and grid points, each projection hinted with the last
+        one's hyperplanes: the carried state breaks ties by (band, slot) as a
+        state built afresh for every finder call does."""
+        cfg, points = problem
+        hint = ()
+        for y in points:
+            result = approximate_projection(cfg, y, hint=hint)
+            ref_point, ref_used = hinted_projection(cfg, y, hint)
+            assert result.point.tobytes() == ref_point.tobytes()
+            assert list(result.hyperplanes_used) == ref_used
+            hint = result.hyperplanes_used
+
+
+def _fresh_state_finder(config, state):
+    """rate_split_finder on the point re-converted with np.array, so that it
+    builds its state afresh on every call."""
+    return rate_split_finder(config, np.array(state))
+
+
+class TestCarriedState:
+    """approximate_projection builds one rate-splitting state per call and
+    refreshes only the members of each hyperplane it projects onto."""
+
+    def test_solve_traces_match_a_fresh_state_per_call(self):
+        """15 steps on tied powers, with weights from {1, 2}: the traces equal
+        those of a finder that rebuilds its state on every call, bit for bit."""
+        rng = np.random.default_rng(2503)
+        for run in range(60):
+            m = int(rng.integers(2, 11))
+            if run % 2:
+                powers = (float(rng.choice(TIED_POWERS)),) * m
+            else:
+                powers = tuple(rng.choice(TIED_POWERS, m).tolist())
+            cfg = ChannelConfig(powers, 1.0)
+            weights = rng.choice([1.0, 2.0], m)
+            utility = LinearUtility(weights) if run % 3 else WeightedLogUtility(weights, epsilon=0.01)
+            budget = SolveSettings(max_iters=15, tol=1e-18, window=16)
+            (best, trace), (best_f, trace_f) = (
+                solve(cfg, utility, DiminishingStep(0.1), budget, finder=finder)
+                for finder in (rate_split_finder, _fresh_state_finder))
+            assert best.tobytes() == best_f.tobytes(), run
+            assert trace.rates.tobytes() == trace_f.rates.tobytes(), run
+            assert trace.projections.tolist() == trace_f.projections.tolist(), run
+
+    def test_elevations_are_computed_once_then_per_hyperplane_member(self, monkeypatch):
+        """A cold projection at M = 50 computes the M user elevations once,
+        then one for each member of each hyperplane the finder names; merged
+        hyper-users' elevations come on top. rate_split_analyze computes M."""
+        rng = np.random.default_rng(2509)
+        m = 50
+        cfg = ChannelConfig(tuple(rng.uniform(0.5, 2.0, m)), 1.0)
+        singles = set(cfg.powers)
+        calls = Counter()
+        elevation = violations._elevation
+
+        def counting(power, rate, noise):
+            calls["user" if power in singles else "merged"] += 1
+            return elevation(power, rate, noise)
+
+        monkeypatch.setattr(violations, "_elevation", counting)
+        result = approximate_projection(cfg, rng.uniform(0.0, 10.0, m))
+        assert len(result.hyperplanes_used) > m
+        assert calls["user"] == m + sum(len(s) for s in result.hyperplanes_used)
+        assert calls["merged"] > 0
+        calls.clear()
+        rate_split_analyze(cfg, result.point)
+        assert calls["user"] == m
+
+    def test_a_state_of_another_config_is_rebuilt(self):
+        state = violations.SplitState(TWO_USER, [0.3, 0.3])
+        assert rate_split_finder(TWO_USER, state) == {1, 2}
+        wide = ChannelConfig((4.0, 4.0), 1.0)
+        assert rate_split_finder(wide, state) is None
+        assert rate_split_analyze(wide, state) == rate_split_analyze(wide, [0.3, 0.3])
 
 
 @st.composite
