@@ -12,6 +12,7 @@ where C is the single-user AWGN capacity. Everything here is linear scale
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -77,7 +78,17 @@ class ChannelConfig:
 
 
 def subset_members(mask: int) -> frozenset[int]:
-    """1-based user indices of a bitmask (bit i-1 marks user i)."""
+    """1-based user indices of a bitmask (bit i-1 marks user i).
+
+    Numpy integers pass. Raises ValueError unless the mask is a nonnegative
+    integer: a negative one marks no finite set of users.
+    """
+    try:
+        mask = operator.index(mask)
+    except TypeError:
+        raise ValueError(f"mask must be an integer, got {mask!r}") from None
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
@@ -124,7 +135,15 @@ def constraint_slack(config: ChannelConfig, rates, members: Iterable[int]) -> fl
     r = rate_vector(config, rates)
     if not np.isfinite(r).all():
         raise ValueError("rates must be finite")
-    return subset_capacity(config, s) - _subset_sum(r.tolist(), sorted(s))
+    return _slack(config, r.tolist(), sorted(s))
+
+
+def _slack(config: ChannelConfig, rates: list[float], users: list[int]) -> float:
+    """:func:`constraint_slack` of checked input: the capacity of ``users``,
+    nonempty and in increasing order, minus the sum of their ``rates`` (a
+    list by user - 1) in that order. The one slack formula, shared with
+    :func:`rate_split_analyze`."""
+    return awgn_capacity(_subset_sum(config.powers, users), config.noise) - _subset_sum(rates, users)
 
 
 def subset_sums(values) -> np.ndarray:

@@ -47,8 +47,8 @@ class ConstantStep:
     capped: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("stepsize must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"stepsize must be positive and finite, got {self.alpha}")
 
     def at(self, k: int) -> float:
         return self.alpha
@@ -66,8 +66,8 @@ class DiminishingStep:
     capped: bool = False
 
     def __post_init__(self):
-        if not self.alpha0 > 0:
-            raise ValueError("stepsize must be positive")
+        if not 0 < self.alpha0 < math.inf:
+            raise ValueError(f"stepsize must be positive and finite, got {self.alpha0}")
 
     def at(self, k: int) -> float:
         return self.alpha0 / math.sqrt(k + 1.0)
@@ -93,8 +93,8 @@ class SolveSettings:
         object.__setattr__(self, "window", _integer(self.window, "window"))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.window < 1:
             raise ValueError("window must be >= 1")
 

@@ -10,10 +10,13 @@ elevation carries more rate than its joint capacity, which names a violated
 constraint of the original configuration; if no overlap remains, the sorted
 users certify decodability by successive cancellation. Users sort by their
 elevation's band (see OVERLAP_TOL), then by slot, while the overlap and
-violation tests compare exact elevations. A merge fills the lower of its two
-fixed slots, and each later round re-sorts the last round's order by one
-(band, slot) key per slot; a merge rebuilds only its own slot's key.
-O(M^2 log M) at worst, with no enumeration of the 2**M - 1 constraints.
+violation tests compare exact elevations. The round order holds the
+remaining slots' (band, slot) key tuples. A merge fills the lower of its two
+fixed slots and puts that slot's one new tuple in place of the pair's two,
+allocating only that tuple and the united member set; each round then
+re-sorts the tuples with a plain sort, O(M) as only the new tuple is out of
+place. O(M^2 log M) at worst, with no enumeration of the 2**M - 1
+constraints.
 
 The recursion starts from a :class:`SplitState`: the rates, elevations, keys
 and first-round order of one point. A caller that moves only a few users
@@ -24,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
-from .channel import ChannelConfig, constraint_slack, rate_vector
+from .channel import ChannelConfig, _slack, rate_vector
 
 # Tolerance on elevations for overlap / violation decisions, relative to the
 # noise: elevations are in units of power, so it scales with the noise.
@@ -109,7 +113,7 @@ class SplitState:
     """A rate point with the start of its recursion: what every finder receives.
 
     Holds, by slot j (user j + 1), the rate, the elevation and the sort key
-    ``(band, j)``, and the slots in first-round order, sorted by that key.
+    ``(band, j)``, and the first-round order: those keys, sorted.
     ``np.asarray(state)`` gives the M rates. Building one validates the rates
     and computes the M elevations; :func:`approximate_projection` builds one
     per call and refreshes only the members of each hyperplane it projects
@@ -137,15 +141,13 @@ class SplitState:
         noise = config.noise
         self.config = config
         self.rates = rates
-        self.elevations = d = [_elevation(q, x, noise) for q, x in zip(config.powers, rates)]
-        band = [e / noise + _BAND_SNAP for e in d]
-        self.keys = list(zip(band, range(len(d))))
-        # the stable sort keeps tied bands in slot order, the (band, slot) order
-        self.order = sorted(range(len(d)), key=band.__getitem__)
+        self.elevations = d = list(map(_elevation, config.powers, rates, repeat(noise)))
+        self.keys = [(e / noise + _BAND_SNAP, j) for j, e in enumerate(d)]
+        self.order = sorted(self.keys)
 
     def _move(self, users, point) -> None:
         """Take the rates of ``users`` (1-based) from ``point``, indexed by
-        user, and re-sort the order by the full (band, slot) key."""
+        user, and re-sort the order with their new keys."""
         noise = self.config.noise
         powers, r, d, keys = self.config.powers, self.rates, self.elevations, self.keys
         for i in users:
@@ -153,9 +155,12 @@ class SplitState:
             r[j] = x = point[i]
             d[j] = e = _elevation(powers[j], x, noise)
             keys[j] = (e / noise + _BAND_SNAP, j)
-        self.order.sort(key=keys.__getitem__)
+        self.order = order = [keys[j] for _, j in self.order]
+        order.sort()
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a SplitState keeps its rates in a list, so an array of them is always a copy")
         return np.array(self.rates, dtype=dtype)
 
 
@@ -177,11 +182,12 @@ def rate_split_analyze(config: ChannelConfig, rates) -> ViolationReport:
     array of M rates or a :class:`SplitState`. Raises ValueError unless the
     rates are finite and nonnegative.
     """
-    found = _split(_state(config, rates))
+    state = _state(config, rates)
+    found = _split(state)
     if isinstance(found, frozenset):
-        return Violated(found, constraint_slack(config, rates, found))
+        return Violated(found, _slack(config, state.rates, sorted(found)))
     order, p, r, d, members = found
-    return Feasible(tuple(SpinOffUser(p[j], r[j], d[j], members[j] or frozenset({j + 1})) for j in order))
+    return Feasible(tuple(SpinOffUser(p[j], r[j], d[j], members[j]) for _, j in order))
 
 
 def rate_split_finder(config: ChannelConfig, rates) -> frozenset[int] | None:
@@ -195,52 +201,66 @@ def rate_split_finder(config: ChannelConfig, rates) -> frozenset[int] | None:
     return found if isinstance(found, frozenset) else None
 
 
+@lru_cache(maxsize=8)
+def _singletons(m: int) -> tuple[frozenset[int], ...]:
+    """``frozenset({j + 1})`` for every slot j of M users, built once per M."""
+    return tuple(frozenset({i}) for i in range(1, m + 1))
+
+
 def _split(state: SplitState) -> frozenset[int] | tuple:
     """The recursion behind both entry points: a violated subset, or the final
     state ``(order, powers, rates, elevations, members)`` by slot, from which
     :func:`rate_split_analyze` builds the certificate. ``state`` is left as
     it was.
 
-    ``members[j]`` is the member set of slot j once it has merged, and None
-    while slot j is still the single user j + 1. The finder needs no slack
-    and no certificate, so neither is built here.
+    ``order`` holds the remaining slots' ``(band, slot)`` keys, sorted;
+    ``members[j]`` is the member set of slot j. A round scans the order for
+    the first overlapping adjacent pair, merges it into the lower slot, puts
+    that slot's one new key in place of the pair's two and re-sorts the
+    order: O(M) per round, as the order is sorted but for that key. Of the
+    containers, a merge builds only that key and the united member set. The
+    finder needs no slack and no certificate, so neither is built here.
     """
     noise = state.config.noise
     tol = OVERLAP_TOL * noise
     d = state.elevations
+    singletons = _singletons(len(d))
     # the first violator in (band, slot) order; past the band of -tol no
     # elevation is below -tol, as the band never decreases with the elevation
     last_band = -tol / noise + _BAND_SNAP
-    for j in state.order:
-        if state.keys[j][0] > last_band:
+    for band, j in state.order:
+        if band > last_band:
             break
         if d[j] < -tol:
-            return frozenset({j + 1})
+            return singletons[j]
     # slot j holds the group whose smallest user is j + 1
     order = state.order.copy()
     p = list(state.config.powers)
     r = state.rates.copy()
     d = d.copy()
-    members: list[frozenset[int] | None] = [None] * len(p)
-    keys = None  # slot j's sort key (band, j); only a merge changes one
+    members = list(singletons)
+    snap = _BAND_SNAP
 
     while True:
-        for a, b in pairwise(order):
+        pairs = iter(order)
+        a = next(pairs)[1]
+        i = 0
+        for _, b in pairs:
             if d[b] < d[a] + p[a] - tol:
                 break
+            a = b
+            i += 1
         else:
             return order, p, r, d, members
 
         # every other elevation is unchanged and was at least -tol
-        s, t = (a, b) if a < b else (b, a)
-        p[s] = p[a] + p[b]
-        r[s] = r[a] + r[b]
-        members[s] = (members[a] or frozenset({a + 1})) | (members[b] or frozenset({b + 1}))
-        d[s] = _elevation(p[s], r[s], noise)
-        if d[s] < -tol:
+        s = a if a < b else b
+        p[s] = power = p[a] + p[b]
+        r[s] = rate = r[a] + r[b]
+        members[s] = members[a] | members[b]
+        d[s] = e = _elevation(power, rate, noise)
+        if e < -tol:
             return members[s]
-        if keys is None:
-            keys = state.keys.copy()
-        keys[s] = (d[s] / noise + _BAND_SNAP, s)
-        order.remove(t)
-        order.sort(key=keys.__getitem__)
+        order[i] = (e / noise + snap, s)
+        del order[i + 1]
+        order.sort()

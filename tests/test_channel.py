@@ -124,6 +124,18 @@ class TestSubsetCapacity:
         for members in ({1}, {2, 5}, {1, 2, 3}, set()):
             mask = sum(1 << (i - 1) for i in members)
             assert subset_members(mask) == frozenset(members)
+            assert subset_members(np.int64(mask)) == frozenset(members)
+
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70), np.int64(-1)])
+    def test_negative_mask_rejected(self, mask):
+        """Two's complement would give -1 user 1 alone."""
+        with pytest.raises(ValueError, match="nonnegative"):
+            subset_members(mask)
+
+    @pytest.mark.parametrize("mask", [2.5, 5.0, "5", None])
+    def test_non_integer_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="integer"):
+            subset_members(mask)
 
 
 class TestConstraintSlack:

@@ -233,6 +233,13 @@ class TestStepsizeRules:
         with pytest.raises(ValueError):
             DiminishingStep(-0.1)
 
+    @pytest.mark.parametrize("rule", [ConstantStep, DiminishingStep])
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite(self, rule, alpha):
+        """Caught at construction, not inside the first projection."""
+        with pytest.raises(ValueError, match="stepsize must be positive and finite"):
+            rule(alpha)
+
 
 class TestSolveSettings:
     def test_validation(self):
@@ -242,6 +249,12 @@ class TestSolveSettings:
             SolveSettings(tol=0.0)
         with pytest.raises(ValueError):
             SolveSettings(window=0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_a_non_finite_tol(self, tol):
+        """An infinite tol would stop every run as stalled after ``window`` steps."""
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolveSettings(tol=tol)
 
     @pytest.mark.parametrize("field", ["max_iters", "window"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None, np.float64(2.0)])

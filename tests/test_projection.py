@@ -13,6 +13,7 @@ from macalloc import (
     DiminishingStep,
     LinearUtility,
     SolveSettings,
+    Violated,
     WeightedLogUtility,
     approximate_projection,
     constraint_slack,
@@ -35,6 +36,7 @@ from support import (
     random_config,
     random_feasible,
     random_infeasible,
+    rate_split_reference,
 )
 
 TWO_USER = ChannelConfig((1.0, 1.0), 1.0)
@@ -458,30 +460,51 @@ def _fresh_state_finder(config, state):
     return rate_split_finder(config, np.array(state))
 
 
+def _reference_finder(config, state):
+    """The finder built on the tests' from-scratch rate splitting."""
+    report = rate_split_reference(config, np.asarray(state))
+    return report.subset if isinstance(report, Violated) else None
+
+
+def _assert_tied_solves_match(other_finder, seed, last_powers=()):
+    """60 seeded 15-step solves on tied powers, followed by ``last_powers``,
+    with weights from {1, 2}: the default finder's traces equal
+    ``other_finder``'s, bit for bit."""
+    rng = np.random.default_rng(seed)
+    for run in range(60):
+        m = int(rng.integers(2, 11))
+        if run % 2:
+            powers = (float(rng.choice(TIED_POWERS)),) * m
+        else:
+            powers = tuple(rng.choice(TIED_POWERS, m).tolist())
+        cfg = ChannelConfig(powers + last_powers, 1.0)
+        weights = rng.choice([1.0, 2.0], cfg.num_users)
+        utility = LinearUtility(weights) if run % 3 else WeightedLogUtility(weights, epsilon=0.01)
+        budget = SolveSettings(max_iters=15, tol=1e-18, window=16)
+        (best, trace), (best_f, trace_f) = (
+            solve(cfg, utility, DiminishingStep(0.1), budget, finder=finder)
+            for finder in (rate_split_finder, other_finder))
+        assert best.tobytes() == best_f.tobytes(), run
+        assert trace.rates.tobytes() == trace_f.rates.tobytes(), run
+        assert trace.projections.tolist() == trace_f.projections.tolist(), run
+
+
 class TestCarriedState:
     """approximate_projection builds one rate-splitting state per call and
     refreshes only the members of each hyperplane it projects onto."""
 
     def test_solve_traces_match_a_fresh_state_per_call(self):
-        """15 steps on tied powers, with weights from {1, 2}: the traces equal
-        those of a finder that rebuilds its state on every call, bit for bit."""
-        rng = np.random.default_rng(2503)
-        for run in range(60):
-            m = int(rng.integers(2, 11))
-            if run % 2:
-                powers = (float(rng.choice(TIED_POWERS)),) * m
-            else:
-                powers = tuple(rng.choice(TIED_POWERS, m).tolist())
-            cfg = ChannelConfig(powers, 1.0)
-            weights = rng.choice([1.0, 2.0], m)
-            utility = LinearUtility(weights) if run % 3 else WeightedLogUtility(weights, epsilon=0.01)
-            budget = SolveSettings(max_iters=15, tol=1e-18, window=16)
-            (best, trace), (best_f, trace_f) = (
-                solve(cfg, utility, DiminishingStep(0.1), budget, finder=finder)
-                for finder in (rate_split_finder, _fresh_state_finder))
-            assert best.tobytes() == best_f.tobytes(), run
-            assert trace.rates.tobytes() == trace_f.rates.tobytes(), run
-            assert trace.projections.tolist() == trace_f.projections.tolist(), run
+        """The traces equal those of a finder that rebuilds its state on
+        every call."""
+        _assert_tied_solves_match(_fresh_state_finder, 2503)
+
+    def test_solve_traces_match_the_reference_recursion(self):
+        """The traces equal those of a finder that sorts every round from
+        scratch, tie-breaks included. The last user's SNR, 1e-10, is below
+        OVERLAP_TOL: at its capacity it shares the band of every tight
+        hyper-user yet overlaps none above it, so which of the two sorts
+        first decides which pair merges next."""
+        _assert_tied_solves_match(_reference_finder, 2811, last_powers=(1e-10,))
 
     def test_elevations_are_computed_once_then_per_hyperplane_member(self, monkeypatch):
         """A cold projection at M = 50 computes the M user elevations once,

@@ -307,6 +307,45 @@ class TestRateSplitReference:
         event(f"{type(report).__name__}, largest group {'1' if max(map(len, groups)) == 1 else '> 1'}")
 
 
+class TestOneSlackFormula:
+    """rate_split_analyze's slack is constraint_slack's, to the bit."""
+
+    @staticmethod
+    def _check(cfg, rates):
+        for given_as in (np.asarray(rates, dtype=float), violations.SplitState(cfg, rates)):
+            report = rate_split_analyze(cfg, given_as)
+            if isinstance(report, Violated):
+                assert report.slack == constraint_slack(cfg, rates, report.subset)
+                assert report.slack == constraint_slack(cfg, given_as, report.subset)
+        return report
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_problems())
+    def test_on_tied_inputs(self, problem):
+        report = self._check(*problem)
+        event(type(report).__name__)
+
+    def test_on_random_inputs(self):
+        """Points past the boundary of 1 to 12 users at noise 1e-9..1e9."""
+        rng = np.random.default_rng(2807)
+        found = 0
+        for _ in range(200):
+            noise = 10.0 ** rng.uniform(-9.0, 9.0)
+            cfg = random_config(rng, int(rng.integers(1, 13)), 0.5 * noise, 2.0 * noise, noise)
+            found += isinstance(self._check(cfg, random_infeasible(rng, cfg)), Violated)
+        assert found > 190
+
+
+class TestSplitStateArray:
+    def test_refuses_to_share_its_rates(self):
+        """The rates live in a list, so numpy's copy=False cannot be honoured."""
+        state = violations.SplitState(TWO_USER, [0.25, 0.0])
+        with pytest.raises(ValueError, match="copy"):
+            np.asarray(state, copy=False)
+        with pytest.raises(ValueError, match="copy"):
+            np.array(state, copy=False)
+
+
 class TestFinderBuildsNoCertificate:
     def test_only_the_analysis_builds_spin_off_users(self, monkeypatch):
         built = []
