@@ -77,16 +77,24 @@ class ChannelConfig:
         return len(self.powers)
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, through ``operator.index``: numpy integers
+    pass; bools, floats and anything else raise ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def subset_members(mask: int) -> frozenset[int]:
     """1-based user indices of a bitmask (bit i-1 marks user i).
 
     Numpy integers pass. Raises ValueError unless the mask is a nonnegative
-    integer: a negative one marks no finite set of users.
+    integer, and not a bool: a negative one marks no finite set of users.
     """
-    try:
-        mask = operator.index(mask)
-    except TypeError:
-        raise ValueError(f"mask must be an integer, got {mask!r}") from None
+    mask = _integer(mask, "mask")
     if mask < 0:
         raise ValueError(f"mask must be nonnegative, got {mask}")
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
@@ -162,13 +170,15 @@ def subset_sums(values) -> np.ndarray:
     return sums
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def constraint_table(config: ChannelConfig) -> np.ndarray:
     """All 2**M - 1 subset capacities at once, for the vectorized violation count.
 
     Returns a read-only array of length 2**M indexed by bitmask: entry k is
     the capacity of the subset with bitmask k (bit i-1 marks user i), so
-    entry 0 is the empty subset's 0. At M = 20 it takes 8 MiB.
+    entry 0 is the empty subset's 0. At M = 20 it takes 8 MiB. Only the last
+    config's table is cached: its callers (``macalloc region``, and
+    ``count_violations`` over one trace) work on one config at a time.
     """
     m = config.num_users
     if m > BRUTE_FORCE_MAX_USERS:

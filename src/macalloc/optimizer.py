@@ -11,7 +11,6 @@ violation count by enumeration for diagnosing any point at small M.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -19,6 +18,8 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
+    _integer,
+    _subset_sum,
     awgn_capacity,
     constraint_table,
     rate_vector,
@@ -26,17 +27,6 @@ from .channel import (
 )
 from .projection import ViolationFinder, approximate_projection, rate_split_finder
 from .utility import Utility
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int, through ``operator.index``: numpy integers
-    pass; bools, floats and anything else raise ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +129,8 @@ def expansion_delta(config: ChannelConfig) -> float:
     if config.num_users < 2:
         return math.inf
     s = sorted(p / config.noise for p in config.powers)
-    total = sum(s)
-    tail = sum(s[2:])
+    total = _subset_sum(s, range(1, len(s) + 1))
+    tail = _subset_sum(s, range(3, len(s) + 1))
     return 0.25 * math.log1p(s[0] / (1.0 + tail) * (s[1] / (1.0 + total)))
 
 

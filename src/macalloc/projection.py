@@ -73,23 +73,24 @@ def _capped_projection(y: list[float], idx: Iterable[int], vals: list[float], le
 
 class _Hyperplane(frozenset):
     """A subset that equals and hashes like the plain frozenset, carrying the
-    config it was built for, its capacity there and its members in increasing
-    order, so that re-testing it as a hint costs only the comparison and the
-    projection. Its members index the working point, which keeps an unused
-    slot 0. Pickles as the plain frozenset.
+    config it was built for, its capacity there and, in increasing order,
+    its members' slots i - 1 in the working point, so that re-testing it as a
+    hint costs only the comparison and the projection. Pickles as the plain
+    frozenset.
 
     The members are sorted once: the range check reads the two ends, and the
-    power sum adds over the sorted tuple with the sum
+    power sum adds over them in increasing user order with the sum
     :func:`~macalloc.channel.subset_capacity` uses, so the level equals that
     capacity to the bit.
     """
 
-    __slots__ = ("config", "level", "users")
+    __slots__ = ("config", "level", "slots")
 
     def __new__(cls, config: ChannelConfig, members: Iterable[int]):
         self = super().__new__(cls, members)
         self.config = config
-        self.users = users = tuple(sorted(self))
+        users = sorted(self)
+        self.slots = tuple([i - 1 for i in users])
         self.level = 0.0
         if users:
             m = config.num_users
@@ -111,13 +112,13 @@ def _project_if_violated(y: list[float], plane: _Hyperplane) -> bool:
     :func:`~macalloc.channel.constraint_slack` does, so the test agrees with
     the slack's sign to the bit.
     """
-    vals = [y[i] for i in plane.users]
+    vals = [y[j] for j in plane.slots]
     load = 0.0
     for v in vals:
         load += v
     if load <= plane.level:
         return False
-    _capped_projection(y, plane.users, vals, plane.level)
+    _capped_projection(y, plane.slots, vals, plane.level)
     return True
 
 
@@ -142,15 +143,14 @@ def approximate_projection(
     floored projection. Any other hint element (a list, a set, a frozenset, or
     a hyperplane of another config) has its capacity computed afresh.
 
-    The working point is a list of floats for the whole call, indexed by user
-    (slot 0 unused). After the hint pass it gets one :class:`SplitState`: the
-    rates, their elevations and (band, slot) keys, and the first-round order,
-    built once (M elevations). Every finder call receives that state, and
-    after each hyperplane's projection only the hyperplane's members are
-    refreshed (one elevation each) and the order re-sorted. So a call of
-    :func:`rate_split_finder` costs only its merge rounds; a custom finder
-    reads the rates with ``np.asarray(state)``. The certified point is the
-    result.
+    The working point is one list of floats, user i at slot i - 1, that
+    every projection writes. After the hint pass one :class:`SplitState`
+    adopts it as its rates and adds their M elevations, (band, slot) keys
+    and first-round order. Every finder call receives that state, and after
+    each hyperplane's projection only its slots are refreshed (one elevation
+    each) and the order re-sorted. So a call of :func:`rate_split_finder`
+    costs only its merge rounds; a custom finder reads the rates with
+    ``np.asarray(state)``. The certified point is the result.
 
     Every step only decreases coordinates, so a constraint stays satisfied
     once handled and each subset is used at most once. A finder that names a
@@ -167,7 +167,7 @@ def approximate_projection(
     if not (low > -math.inf and y.max() < math.inf):
         raise ValueError("coordinates must be finite")
     np.maximum(y, 0.0, out=y)
-    x = [0.0] + y.tolist()  # the working point, x[i] the coordinate of user i
+    x = y.tolist()  # the working point
 
     used: dict[_Hyperplane, None] = {}  # insertion-ordered, O(1) membership
     for plane in hint:
@@ -175,15 +175,15 @@ def approximate_projection(
             plane = _Hyperplane(config, plane)
         if plane not in used and _project_if_violated(x, plane):
             used[plane] = None
-    state = SplitState._of_floats(config, x[1:])
+    state = SplitState._of_floats(config, x)
     while True:
         subset = finder(config, state)
         if subset is None:
-            return ProjectionResult(np.array(x[1:]), tuple(used))
+            return ProjectionResult(np.array(x), tuple(used))
         if subset in used:
             raise RuntimeError(f"finder named subset {sorted(subset)} twice")
         plane = _Hyperplane(config, subset)
         if not _project_if_violated(x, plane):
             raise RuntimeError(f"finder named subset {sorted(subset)}, which the point satisfies")
-        state._move(plane.users, x)
+        state._move(plane.slots)
         used[plane] = None

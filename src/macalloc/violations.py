@@ -45,16 +45,15 @@ from .channel import ChannelConfig, _slack, rate_vector
 OVERLAP_TOL = 1e-9
 _BAND_SNAP = math.ldexp(1.5, 52 + math.frexp(OVERLAP_TOL)[1])
 
-# Beyond this rate expm1 overflows; the elevation is -noise to double precision.
-_RATE_OVERFLOW = 350.0
-
 
 def elevation(power: float, rate: float, noise: float) -> float:
     """Extra interference the message tolerates: solves rate = C(power, noise + d).
 
     Inverting the capacity formula gives d = power / (e**(2*rate) - 1) - noise.
     A zero rate returns +inf (a silent message tolerates anything); a negative
-    result means the rate exceeds even the interference-free capacity.
+    result means the rate exceeds even the interference-free capacity. Where
+    e**(2*rate) overflows (past about 354.89 nats), it exceeds every capacity
+    and the result is -noise.
     Raises ValueError on NaN, an infinite rate or noise, a power or noise that
     is not positive, or a negative rate; an infinite power (an overflowed
     power sum) is allowed.
@@ -72,9 +71,10 @@ def _elevation(power: float, rate: float, noise: float) -> float:
     """:func:`elevation` without the input checks."""
     if rate == 0.0:
         return math.inf
-    if rate > _RATE_OVERFLOW:
+    try:
+        return power / math.expm1(2.0 * rate) - noise
+    except OverflowError:  # e**(2*rate) - 1 exceeds every finite SNR
         return -noise
-    return power / math.expm1(2.0 * rate) - noise
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,9 @@ class SplitState:
     ``(band, j)``, and the first-round order: those keys, sorted.
     ``np.asarray(state)`` gives the M rates. Building one validates the rates
     and computes the M elevations; :func:`approximate_projection` builds one
-    per call and refreshes only the members of each hyperplane it projects
-    onto, so a finder call on it skips both and runs only its merge rounds.
+    per call on its working list, projects into ``rates`` and refreshes only
+    each hyperplane's slots, so a finder call on it skips both and runs only
+    its merge rounds.
     Raises ValueError unless there is one finite, nonnegative rate per user.
     """
 
@@ -132,7 +133,7 @@ class SplitState:
     @classmethod
     def _of_floats(cls, config: ChannelConfig, rates: list[float]) -> SplitState:
         """The state of a list of M finite, nonnegative floats, unchecked; the
-        state keeps the list."""
+        state keeps the list as its ``rates``, without a copy."""
         self = cls.__new__(cls)
         self._start(config, rates)
         return self
@@ -145,15 +146,13 @@ class SplitState:
         self.keys = [(e / noise + _BAND_SNAP, j) for j, e in enumerate(d)]
         self.order = sorted(self.keys)
 
-    def _move(self, users, point) -> None:
-        """Take the rates of ``users`` (1-based) from ``point``, indexed by
-        user, and re-sort the order with their new keys."""
+    def _move(self, slots) -> None:
+        """Recompute the elevations and keys of ``slots`` from their changed
+        rates and re-sort the order with the new keys."""
         noise = self.config.noise
         powers, r, d, keys = self.config.powers, self.rates, self.elevations, self.keys
-        for i in users:
-            j = i - 1
-            r[j] = x = point[i]
-            d[j] = e = _elevation(powers[j], x, noise)
+        for j in slots:
+            d[j] = e = _elevation(powers[j], r[j], noise)
             keys[j] = (e / noise + _BAND_SNAP, j)
         self.order = order = [keys[j] for _, j in self.order]
         order.sort()

@@ -38,6 +38,16 @@ def random_config(rng, m, lo=0.5, hi=2.0, noise=1.0) -> ChannelConfig:
     return ChannelConfig(tuple(rng.uniform(lo, hi, m)), noise)
 
 
+def left_to_right_sum(values) -> float:
+    """The float sum of ``values``, added left to right from 0.0, as the
+    package adds. From Python 3.12 on the builtin ``sum`` compensates float
+    sums, which rounds differently."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def nonempty_subsets(m) -> list[tuple[int, ...]]:
     """Every nonempty subset of the 0-based users 0..m-1, by cardinality."""
     return [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
@@ -55,7 +65,7 @@ def subset_table(config) -> tuple[np.ndarray, np.ndarray]:
     membership = np.zeros((len(subsets), config.num_users))
     for k, s in enumerate(subsets):
         membership[k, list(s)] = 1.0
-    power_sums = np.array([sum(config.powers[i] for i in s) for s in subsets])
+    power_sums = np.array([left_to_right_sum(config.powers[i] for i in s) for s in subsets])
     capacities = 0.5 * np.log1p(power_sums / config.noise)
     membership.setflags(write=False)
     capacities.setflags(write=False)
@@ -131,10 +141,10 @@ def most_violated_finder(config, rates):
 
 
 def rate_split_reference(config, rates):
-    """``rate_split_analyze`` from its description alone, for rates below 354
-    nats, past which math.expm1 of twice the rate overflows. Past 350 nats the
-    package saturates an elevation at -noise; at SNRs below about 1e288 this
-    formula rounds to that same value.
+    """``rate_split_analyze`` from its description alone, for (hyper-)user
+    rates up to about 354.89 nats. Past that, math.expm1 of twice the rate
+    overflows and this raises OverflowError, where the package sets the
+    elevation to -noise: such a rate exceeds every accepted capacity.
 
     Every round sorts all hyper-users by (band, smallest original index). The
     band of elevation e is the float (e / noise) + 1.5 * 2**52 * g, g the
@@ -165,8 +175,8 @@ def rate_split_reference(config, rates):
         violated = [u for u in users if u.elevation < -tol]
         if violated:
             subset = violated[0].members
-            power = sum(config.powers[i - 1] for i in sorted(subset))
-            load = sum(rates[i - 1] for i in sorted(subset))
+            power = left_to_right_sum(config.powers[i - 1] for i in sorted(subset))
+            load = left_to_right_sum(rates[i - 1] for i in sorted(subset))
             return Violated(subset, 0.5 * float(np.log1p(power / noise)) - load)
         for k in range(len(users) - 1):
             low, high = users[k], users[k + 1]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestSubsetCapacity:
         with pytest.raises(ValueError, match="nonnegative"):
             subset_members(mask)
 
-    @pytest.mark.parametrize("mask", [2.5, 5.0, "5", None])
+    @pytest.mark.parametrize("mask", [2.5, 5.0, "5", None, True, False])
     def test_non_integer_mask_rejected(self, mask):
         with pytest.raises(ValueError, match="integer"):
             subset_members(mask)
@@ -243,6 +244,20 @@ class TestConstraintTable:
             capacities = constraint_table(cfg)
             for mask in rng.integers(1, 1 << 20, 1000).tolist():
                 assert subset_capacity(cfg, subset_members(mask)) == capacities[mask], (cfg, mask)
+
+    def test_keeps_one_table_at_the_cap(self):
+        """Its callers work on one config at a time, so the tables of earlier
+        configs are released: after four M = 20 configs only the last one's
+        8 MiB stays referenced."""
+        configs = [ChannelConfig((1.0 + k / 7.0,) * 20, 3.0) for k in range(4)]
+        tracemalloc.start()
+        try:
+            for cfg in configs:
+                constraint_table(cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * constraint_table(configs[-1]).nbytes
 
 
 class TestPolymatroidStructure:

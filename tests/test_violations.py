@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 import macalloc.violations as violations
 from macalloc import (
     ChannelConfig,
+    ConstantStep,
     Feasible,
+    LinearUtility,
+    SolveSettings,
     SpinOffUser,
     Violated,
+    approximate_projection,
     awgn_capacity,
     constraint_slack,
     elevation,
     greedy_vertex,
     rate_split_analyze,
     rate_split_finder,
+    solve,
     subset_capacity,
 )
 from support import (
@@ -166,6 +171,43 @@ class TestElevation:
     def test_round_trip(self, p, d, noise):
         r = awgn_capacity(p, noise + d)
         assert elevation(p, r, noise) == pytest.approx(d, rel=1e-8, abs=1e-8)
+
+
+class TestHugeSnr:
+    """Rates near the capacity of a total SNR close to the largest float,
+    where e**(2 * rate) is finite up to about 354.89 nats."""
+
+    CFG = ChannelConfig((1e308,), 1.0)  # capacity 354.598 nats
+
+    def test_elevation_below_the_overflow(self):
+        assert elevation(1e308, 351.0, 1.0) == 1e308 / math.expm1(702.0) - 1.0 > 1333.0
+
+    def test_analysis_of_a_rate_below_capacity(self):
+        assert isinstance(rate_split_analyze(self.CFG, [351.0]), Feasible)
+
+    def test_projection_keeps_a_point_below_capacity(self):
+        result = approximate_projection(self.CFG, [352.0])
+        assert result.point.tolist() == [352.0] and result.hyperplanes_used == ()
+
+    def test_solve_ends_at_the_capacity(self):
+        best, _ = solve(self.CFG, LinearUtility([1.0]), ConstantStep(50.0), SolveSettings(max_iters=20))
+        assert best[0] == pytest.approx(subset_capacity(self.CFG, {1}), abs=1e-8)
+
+    def test_agreement_with_enumeration(self):
+        """Total SNRs 1e280..1e308 and points whose rates add up to 345..356
+        nats, often carried mostly by one user, up to M = 6."""
+        rng = np.random.default_rng(59)
+        verdicts = Counter()
+        for _ in range(400):
+            m = int(rng.integers(1, 7))
+            snr = 10.0 ** rng.uniform(280.0, 308.0)
+            noise = 10.0 ** rng.uniform(-3.0, 0.0)
+            cfg = ChannelConfig(tuple(snr * noise * rng.dirichlet(np.ones(m))), noise)
+            rates = rng.uniform(345.0, 356.0) * rng.dirichlet(np.full(m, 0.3))
+            assert certify_agreement(cfg, rates), (cfg, rates)
+            verdicts[type(rate_split_analyze(cfg, rates)).__name__] += 1
+            assert batch_feasible(cfg, approximate_projection(cfg, rates).point)[0], (cfg, rates)
+        assert min(verdicts["Feasible"], verdicts["Violated"]) >= 30, verdicts
 
 
 class TestFindMostViolated:
